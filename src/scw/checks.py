@@ -196,20 +196,15 @@ def _unsupported(p, reason) -> list[Check]:
 
 
 def check_cover_relations(wb, p) -> list[Check]:
-    spec = wb.cover(p["cover"])
-    checks = cover_mod.validate_cover_data(spec)
     return [Check(c.name, c.status, c.computed, c.expected,
-                  tag=p.get("tag", c.tag)) for c in checks]
+                  tag=p.get("tag", c.tag)) for c in wb.validation(p["cover"])]
 
 
 def check_relation_sum(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
     chi = tuple(p["character"])
     m = spec.group.element_order(chi)
-    rhs = spec.base.lattice.zero()
-    for pair in spec.pairs():
-        f = groups_mod.restriction_level(pair, chi)
-        rhs = rhs + int(Fraction(m * f, pair.order)) * spec.pair_divisor(pair)
+    rhs = cover_mod.relation_rhs(spec, chi)
     expected = resolve_class(spec.base.lattice, p["expected_class"])
     out = [equality_check(f"{p['name']}/sum", format_class(rhs), format_class(expected),
                           tag=p.get("tag", ""))]
@@ -224,7 +219,7 @@ def check_derived_class(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
     if not wb.cover_valid(p["cover"]):
         return _unsupported(p, "cover data failed validation")
-    derived = cover_mod.derive_all_L(spec)
+    derived = spec.all_l
     chi = spec.group.reduce(tuple(p["character"]))
     got = derived[chi]
     checks = []
@@ -249,7 +244,7 @@ def check_solve_matches_derived(wb, p) -> list[Check]:
     if not wb.cover_valid(p["cover"]):
         return _unsupported(p, "cover data failed validation")
     solution = solve_linear(cover_mod.building_data_relations(spec))
-    derived = cover_mod.derive_all_L(spec)
+    derived = spec.all_l
     ok = solution.degrees_of_freedom == 0
     mismatches = []
     for chi, cls in derived.items():
@@ -270,7 +265,7 @@ def check_branch_points(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
     if not wb.cover_valid(p["cover"]):
         return _unsupported(p, "cover data failed validation")
-    analyses = cover_mod.classify_branch_points(spec)
+    analyses = spec.branch_points
     nodes = sorted(
         (tuple(sorted(a.location)), a.crossing_points, a.preimage_count, a.inertia_order)
         for a in analyses if a.verdict == cover_mod.VERDICT_NODE_A1

@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from .groups import Character, CyclicPair, FiniteAbelianGroup, restriction_level
 from .lattice import DivisorClass, adjunction_genus, format_class
@@ -59,13 +61,30 @@ class BranchComponent:
             raise CoverDataError(f"{self.name}: asserted component count must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoverSpec:
+    """Building data of one cover.  Frozen, so the derived data cached on
+    first use (all_l, branch_points, ramification) can never go stale."""
+
     name: str
     group: FiniteAbelianGroup
     base: BlowupSurface
     branch: tuple[BranchComponent, ...]
     reduced_l: tuple[tuple[Character, DivisorClass], ...]
+
+    @cached_property
+    def all_l(self) -> MappingProxyType:
+        """Every character sheaf class, as derived by derive_all_L."""
+        return MappingProxyType(derive_all_L(self))
+
+    @cached_property
+    def branch_points(self) -> tuple[BranchPointAnalysis, ...]:
+        return tuple(classify_branch_points(self))
+
+    @cached_property
+    def ramification(self) -> tuple[DivisorClass, Fraction]:
+        """canonical_cover at the group exponent: the class P and K^2."""
+        return canonical_cover(self)
 
     def branch_by_name(self) -> dict[str, BranchComponent]:
         return {b.name: b for b in self.branch}
@@ -98,8 +117,26 @@ def _epsilon(pair: CyclicPair, chi1: Character, chi2: Character) -> int:
     return 1 if restriction_level(pair, chi1) + restriction_level(pair, chi2) >= m else 0
 
 
-def _character_order(group: FiniteAbelianGroup, chi: Character) -> int:
-    return group.element_order(chi)
+def relation_rhs(spec: CoverSpec, chi: Character) -> DivisorClass:
+    """sum over pairs of (m*f/m_C)*D_pair, which m*L_chi must equal
+    (m the order of chi, f its restriction level on the pair)."""
+    m = spec.group.element_order(chi)
+    rhs = spec.base.lattice.zero()
+    for pair in spec.pairs():
+        weight = Fraction(m * restriction_level(pair, chi), pair.order)
+        if weight.denominator != 1:
+            raise CoverDataError("restriction level incompatible with character order")
+        rhs = rhs + int(weight) * spec.pair_divisor(pair)
+    return rhs
+
+
+def pair_rule_term(spec: CoverSpec, a: Character, b: Character) -> DivisorClass:
+    """sum(eps*D_pair), by which L_a + L_b exceeds L_ab."""
+    total = spec.base.lattice.zero()
+    for pair in spec.pairs():
+        if _epsilon(pair, a, b):
+            total = total + spec.pair_divisor(pair)
+    return total
 
 
 def validate_cover_data(spec: CoverSpec) -> list[Check]:
@@ -113,20 +150,11 @@ def validate_cover_data(spec: CoverSpec) -> list[Check]:
     """
     checks: list[Check] = []
     group = spec.group
-    lat = spec.base.lattice
     given = dict(spec.reduced_l)
-    pairs = spec.pairs()
 
     for chi, l_chi in sorted(given.items()):
-        m = _character_order(group, chi)
-        lhs = m * l_chi
-        rhs = lat.zero()
-        for pair in pairs:
-            f = restriction_level(pair, chi)
-            weight = Fraction(m * f, pair.order)
-            if weight.denominator != 1:
-                raise CoverDataError("restriction level incompatible with character order")
-            rhs = rhs + int(weight) * spec.pair_divisor(pair)
+        lhs = group.element_order(chi) * l_chi
+        rhs = relation_rhs(spec, chi)
         ok = lhs == rhs
         detail = "" if ok else f"; difference at {format_class(lhs - rhs)}"
         checks.append(Check(
@@ -142,10 +170,7 @@ def validate_cover_data(spec: CoverSpec) -> list[Check]:
         if ab not in given or ab == group.identity():
             continue
         lhs = la + lb
-        rhs = given[ab]
-        for pair in pairs:
-            if _epsilon(pair, a, b):
-                rhs = rhs + spec.pair_divisor(pair)
+        rhs = given[ab] + pair_rule_term(spec, a, b)
         ok = lhs == rhs
         checks.append(Check(
             name=f"{spec.name}/pair-rule-{_chi_name(a)}-{_chi_name(b)}",
@@ -202,10 +227,6 @@ def validate_cover_data(spec: CoverSpec) -> list[Check]:
     return checks
 
 
-def cover_data_is_valid(spec: CoverSpec) -> bool:
-    return all(c.status == "pass" for c in validate_cover_data(spec))
-
-
 def _chi_name(chi: Character) -> str:
     return "c" + "".join(str(x) for x in chi)
 
@@ -217,18 +238,12 @@ def derive_all_L(spec: CoverSpec) -> dict[Character, DivisorClass]:
     derivation path; a disagreement raises InconsistentDerivation.
     """
     group = spec.group
-    pairs = spec.pairs()
-    divisors = {pair: spec.pair_divisor(pair) for pair in pairs}
     known: dict[Character, DivisorClass] = {group.identity(): spec.base.lattice.zero()}
     for chi, l_chi in spec.reduced_l:
         known[group.reduce(chi)] = l_chi
 
     def pair_value(a: Character, b: Character) -> DivisorClass:
-        val = known[a] + known[b]
-        for pair in pairs:
-            if _epsilon(pair, a, b):
-                val = val - divisors[pair]
-        return val
+        return known[a] + known[b] - pair_rule_term(spec, a, b)
 
     total = len(group.characters())
     while len(known) < total:
@@ -269,23 +284,14 @@ def building_data_relations(spec: CoverSpec):
     from .lattice import Relation
 
     group = spec.group
-    lat = spec.base.lattice
-    pairs = spec.pairs()
     nontrivial = [chi for chi in group.characters() if chi != group.identity()]
     relations = []
     for chi in nontrivial:
-        m = group.element_order(chi)
-        rhs = lat.zero()
-        for pair in pairs:
-            f = restriction_level(pair, chi)
-            rhs = rhs + int(Fraction(m * f, pair.order)) * spec.pair_divisor(pair)
-        relations.append(Relation.make({character_unknown_name(chi): m}, rhs))
+        relations.append(Relation.make({character_unknown_name(chi): group.element_order(chi)},
+                                       relation_rhs(spec, chi)))
     for a, b in itertools.combinations(nontrivial, 2):
         ab = group.add(a, b)
-        rhs = lat.zero()
-        for pair in pairs:
-            if _epsilon(pair, a, b):
-                rhs = rhs + spec.pair_divisor(pair)
+        rhs = pair_rule_term(spec, a, b)
         unknowns = {character_unknown_name(a): 1}
         unknowns[character_unknown_name(b)] = unknowns.get(character_unknown_name(b), 0) + 1
         if ab != group.identity():
@@ -353,7 +359,7 @@ def classify_branch_points(spec: CoverSpec) -> list[BranchPointAnalysis]:
 def node_count(spec: CoverSpec) -> int:
     return sum(
         a.crossing_points * a.preimage_count
-        for a in classify_branch_points(spec)
+        for a in spec.branch_points
         if a.verdict == VERDICT_NODE_A1
     )
 
@@ -388,7 +394,7 @@ def pullback(spec: CoverSpec, comp: BranchComponent) -> PullbackRecord:
 def _nodes_on_component(spec: CoverSpec, comp: BranchComponent) -> Fraction:
     """A1 nodes lying on each preimage component of this branch curve."""
     total = 0
-    for analysis in classify_branch_points(spec):
+    for analysis in spec.branch_points:
         if analysis.verdict == VERDICT_NODE_A1 and comp.name in analysis.location:
             total += analysis.crossing_points * analysis.preimage_count
     return Fraction(total, comp.components)
@@ -449,9 +455,8 @@ def preimage_consistency(spec: CoverSpec, comp: BranchComponent) -> ConsistencyR
 
 def _k_cover_degree(spec: CoverSpec, comp: BranchComponent, pb: PullbackRecord) -> Fraction:
     """K_cover . (preimage component) via the projection formula."""
-    n_clear = spec.group.exponent
-    p, _k2 = canonical_cover(spec, n_clear)
-    return Fraction(pb.map_degree) * p.dot(comp.curve) / n_clear
+    p, _k2 = spec.ramification
+    return Fraction(pb.map_degree) * p.dot(comp.curve) / spec.group.exponent
 
 
 def canonical_cover(spec: CoverSpec, n_clear: int | None = None):
@@ -493,11 +498,10 @@ def invariants(spec: CoverSpec) -> CoverInvariants:
     characters.  The base is a rational surface, so chi(O_base) = 1 and
     h^0(K_base) = 0.
     """
-    all_l = derive_all_L(spec)
     k = spec.base.canonical
     chi = Fraction(0)
     p_g = 0
-    for char, l_chi in all_l.items():
+    for char, l_chi in spec.all_l.items():
         chi += 1 + l_chi.dot(l_chi + k) / 2
         if char != spec.group.identity():
             p_g += spec.base.h0(_integral(k + l_chi))
@@ -507,7 +511,7 @@ def invariants(spec: CoverSpec) -> CoverInvariants:
     q = p_g - chi_int + 1
     if q < 0:
         raise CoverDataError(f"negative irregularity q={q}")
-    _p, k2 = canonical_cover(spec)
+    _p, k2 = spec.ramification
     return CoverInvariants(k2_cover=k2, chi=chi_int, p_g=p_g, q=q)
 
 
@@ -519,10 +523,9 @@ def _integral(d: DivisorClass) -> DivisorClass:
 
 def h0_vanishing_checks(spec: CoverSpec) -> list[Check]:
     """One check per nontrivial character: h^0(K_base + L_chi) = 0."""
-    all_l = derive_all_L(spec)
     k = spec.base.canonical
     checks = []
-    for char, l_chi in all_l.items():
+    for char, l_chi in spec.all_l.items():
         if char == spec.group.identity():
             continue
         cls = k + l_chi
@@ -548,7 +551,7 @@ def quotient_cover(spec: CoverSpec, chi: Character) -> CoverSpec:
     group = spec.group
     if sorted(group.orders) != [2, 4]:
         raise UnsupportedCharacter("quotient construction expects an exponent-4 group Z2 x Z4")
-    if _character_order(group, chi) != 2:
+    if group.element_order(chi) != 2:
         raise UnsupportedCharacter(f"character {chi} is not of order 2")
     g_sub = [a for a in group.elements() if group.element_order(a) <= 2]
     if not group.char_is_trivial_on(chi, g_sub):
@@ -567,7 +570,7 @@ def quotient_cover(spec: CoverSpec, chi: Character) -> CoverSpec:
             pair=CyclicPair(quotient_group, (1,), 1),
             components=1,  # the double cover ramifies along the curve itself
         ))
-    l_chi = derive_all_L(spec)[group.reduce(chi)]
+    l_chi = spec.all_l[group.reduce(chi)]
     new_spec = CoverSpec(
         name=f"{spec.name}/quotient",
         group=quotient_group,
@@ -608,7 +611,7 @@ def minimal_model(spec: CoverSpec, plan: ContractionPlan) -> CoverInvariants:
     """
     inv = invariants(spec)
     n_clear = spec.group.exponent
-    p, k2_cover = canonical_cover(spec, n_clear)
+    p, k2_cover = spec.ramification
     by_name = spec.branch_by_name()
     contracted: list[BranchComponent] = []
     for name in plan.contracted_base:

@@ -41,12 +41,6 @@ class FiniteAbelianGroup:
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
 
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % n for x, n in zip(a, self.orders))
-
-    def scale(self, k: int, a: Element) -> Element:
-        return tuple((k * x) % n for x, n in zip(a, self.orders))
-
     def element_order(self, a: Element) -> int:
         return lcm(*(n // gcd(x, n) for x, n in zip(a, self.orders))) if self.orders else 1
 

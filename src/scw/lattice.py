@@ -39,12 +39,6 @@ class Unsolvable(Exception):
         super().__init__(message)
 
 
-def _rat(x: Rat) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Base class; concrete lattices provide `names` and a Gram matrix."""
@@ -68,9 +62,6 @@ class Lattice:
     def gram_entry(self, i: int, j: int) -> Fraction:
         raise NotImplementedError
 
-    def gram_matrix(self) -> list[list[Fraction]]:
-        return [[self.gram_entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
-
     def divisor(self, coeffs: Mapping[str, Rat] | Sequence[Rat] | None = None) -> "DivisorClass":
         """Build a class from a symbol->coefficient map (missing symbols are 0)
         or from a dense coefficient sequence in basis order."""
@@ -79,11 +70,11 @@ class Lattice:
             pass
         elif isinstance(coeffs, Mapping):
             for name, value in coeffs.items():
-                vec[self.index(name)] = _rat(value)
+                vec[self.index(name)] = Fraction(value)
         else:
             if len(coeffs) != self.dim:
                 raise ValueError("coefficient sequence has wrong length")
-            vec = [_rat(x) for x in coeffs]
+            vec = [Fraction(x) for x in coeffs]
         return DivisorClass(self, tuple(vec))
 
     def zero(self) -> "DivisorClass":
@@ -102,10 +93,6 @@ class BlowupLattice(Lattice):
         if i != j:
             return Fraction(0)
         return Fraction(1) if i == 0 else Fraction(-1)
-
-    @property
-    def line_name(self) -> str:
-        return self.names[0]
 
     @property
     def exceptional_names(self) -> tuple[str, ...]:
@@ -145,7 +132,7 @@ class AbstractLattice(Lattice):
 
 
 def abstract_lattice(names: Iterable[str], gram_rows: Iterable[Iterable[Rat]]) -> AbstractLattice:
-    rows = tuple(tuple(_rat(x) for x in row) for row in gram_rows)
+    rows = tuple(tuple(Fraction(x) for x in row) for row in gram_rows)
     return AbstractLattice(tuple(names), rows)
 
 
@@ -156,13 +143,6 @@ class DivisorClass:
 
     def coeff(self, name: str) -> Fraction:
         return self.coeffs[self.lattice.index(name)]
-
-    def coeff_map(self, skip_zero: bool = True) -> dict[str, Fraction]:
-        return {
-            name: c
-            for name, c in zip(self.lattice.names, self.coeffs)
-            if c != 0 or not skip_zero
-        }
 
     @property
     def is_integral(self) -> bool:
@@ -188,7 +168,7 @@ class DivisorClass:
         return DivisorClass(self.lattice, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, n: Rat) -> "DivisorClass":
-        f = _rat(n)
+        f = Fraction(n)
         return DivisorClass(self.lattice, tuple(f * a for a in self.coeffs))
 
     __mul__ = __rmul__
@@ -209,9 +189,6 @@ class DivisorClass:
                 if b != 0:
                     total += a * b * lat.gram_entry(i, j)
         return total
-
-    def self_intersection(self) -> Fraction:
-        return self.dot(self)
 
     def __str__(self) -> str:
         return format_class(self)
@@ -386,13 +363,13 @@ def hodge_index_bound(k2, kd=None, d2=None):
             raise ValueError("expected the class D as the second argument")
         k, d = k2, kd
         return hodge_index_bound(k.dot(k), k.dot(d), d.dot(d))
-    k2 = _rat(k2)
-    kd = _rat(kd)
+    k2 = Fraction(k2)
+    kd = Fraction(kd)
     if k2 <= 0:
         raise ValueError("requires K^2 > 0")
     if d2 is None:
         return kd * kd / k2
-    d2 = _rat(d2)
+    d2 = Fraction(d2)
     if d2 <= 0:
         return True
     return kd * kd >= k2 * d2

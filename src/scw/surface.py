@@ -169,23 +169,18 @@ def _candidate_multiplicity_vectors(n_symbols: int, total: int, square_sum: int)
     yield from rec([], total, square_sum, max_m)
 
 
-def _negative_curve_candidates(surface: BlowupSurface, degree_bound: int):
-    """Classes d*L - sum(m_i E_i) with the right numerics for a (-1) or (-2)
-    rational curve, in deterministic order (degree, then kind, then coeffs)."""
+def _candidates(surface: BlowupSurface, degree: int, self_int: int):
+    """Classes d*L - sum(m_i E_i) of a smooth rational curve of the given
+    degree and self-intersection (a pencil when self_int = 0), in
+    deterministic order: multiplicity shape descending, then permutation."""
     n = len(surface.lattice.exceptional_names)
-    for degree in range(1, degree_bound + 1):
-        # (-2)-candidates first: a reducible (-1)-candidate of the same
-        # degree is recognized by meeting one of them negatively
-        for self_int in (-2, -1):
-            total = 3 * degree - 2 - self_int  # sum(m) = 3d + K.C, K.C = -2 - C^2
-            square_sum = degree * degree - self_int
-            shapes = set()
-            for vec in _candidate_multiplicity_vectors(n, total, square_sum):
-                shapes.add(tuple(vec))
-            for shape in sorted(shapes, reverse=True):
-                for perm in sorted(set(itertools.permutations(shape))):
-                    coeffs = (Fraction(degree),) + tuple(Fraction(-m) for m in perm)
-                    yield DivisorClass(surface.lattice, coeffs)
+    total = 3 * degree - 2 - self_int  # sum(m) = 3d + K.C, K.C = -2 - C^2
+    square_sum = degree * degree - self_int
+    shapes = {tuple(vec) for vec in _candidate_multiplicity_vectors(n, total, square_sum)}
+    for shape in sorted(shapes, reverse=True):
+        for perm in sorted(set(itertools.permutations(shape))):
+            coeffs = (Fraction(degree),) + tuple(Fraction(-m) for m in perm)
+            yield DivisorClass(surface.lattice, coeffs)
 
 
 def catalog_negative_curves(surface: BlowupSurface, degree_bound: int = DEFAULT_DEGREE_BOUND):
@@ -211,7 +206,11 @@ def catalog_negative_curves(surface: BlowupSurface, degree_bound: int = DEFAULT_
             kind=KIND_MINUS_ONE,
             provenance=f"exceptional curve over {surface.point_of_symbol[sym]}",
         ))
-    for cand in _negative_curve_candidates(surface, degree_bound):
+    # by degree, (-2)-candidates first: a reducible (-1)-candidate of the
+    # same degree is recognized by meeting one of them negatively
+    candidates = (cand for degree in range(1, degree_bound + 1) for self_int in (-2, -1)
+                  for cand in _candidates(surface, degree, self_int))
+    for cand in candidates:
         if any(cand.dot(rec.cls) < 0 for rec in records):
             continue
         if surface.h0(cand) != 1:
@@ -249,26 +248,14 @@ def isolated_minus_one_curves(surface: BlowupSurface, degree_bound: int = DEFAUL
     ]
 
 
-def _pencil_candidates(surface: BlowupSurface, degree_bound: int):
-    n = len(surface.lattice.exceptional_names)
-    for degree in range(1, degree_bound + 1):
-        total = 3 * degree - 2
-        square_sum = degree * degree
-        shapes = set()
-        for vec in _candidate_multiplicity_vectors(n, total, square_sum):
-            shapes.add(tuple(vec))
-        for shape in sorted(shapes, reverse=True):
-            for perm in sorted(set(itertools.permutations(shape))):
-                coeffs = (Fraction(degree),) + tuple(Fraction(-m) for m in perm)
-                yield DivisorClass(surface.lattice, coeffs)
-
-
 def find_pencils(surface: BlowupSurface, degree_bound: int = DEFAULT_DEGREE_BOUND) -> list[Pencil]:
     """Classes F with F^2 = 0, K.F = -2, two sections, and F.C >= 0 for
     every catalogued curve (base-point-freeness proxy)."""
     catalog = surface.catalog(degree_bound)
     out = []
-    for cand in _pencil_candidates(surface, degree_bound):
+    candidates = (cand for degree in range(1, degree_bound + 1)
+                  for cand in _candidates(surface, degree, 0))
+    for cand in candidates:
         if any(cand.dot(rec.cls) < 0 for rec in catalog):
             continue
         if surface.h0(cand) != 2:

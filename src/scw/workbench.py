@@ -3,8 +3,9 @@
 A workbench file is JSON with construction scripts for surfaces, cover
 specifications over them, and a list of named checks.  Rationals are
 written as integers or "p/q" strings; divisor classes as symbol ->
-rational maps; characters and group elements as residue tuples.
-Reports are deterministic given (file, seed).
+rational maps; characters and group elements as residue tuples.  Checks
+are kept as the plain JSON objects of the file, with their keys sorted at
+every level.  Reports are deterministic given (file, seed).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .checks import NAMED_CHECKS, run_check
 from .cover import BranchComponent, CoverSpec, validate_cover_data
 from .groups import CyclicPair, FiniteAbelianGroup
 from .oracle import FreeLine, FreePoint, IntersectionPoint, LineThrough, PointOnLine, SeedPolicy
-from .report import VerificationReport
+from .report import Check, VerificationReport
 from .surface import BlowupSurface
 
 FORMAT_VERSION = 1
@@ -73,36 +74,16 @@ class WorkbenchFile:
     version: int
     surfaces: tuple[SurfaceDef, ...]
     covers: tuple[CoverDef, ...]
-    checks: tuple[tuple, ...]  # frozen check dicts as sorted item tuples
-
-    def check_dicts(self) -> list[dict]:
-        return [_thaw(c) for c in self.checks]
-
-
-def _freeze(obj):
-    if isinstance(obj, dict):
-        return ("__dict__",) + tuple(sorted((k, _freeze(v)) for k, v in obj.items()))
-    if isinstance(obj, list):
-        return ("__list__",) + tuple(_freeze(v) for v in obj)
-    return obj
-
-
-def _thaw(obj):
-    if isinstance(obj, tuple) and obj and obj[0] == "__dict__":
-        return {k: _thaw(v) for k, v in obj[1:]}
-    if isinstance(obj, tuple) and obj and obj[0] == "__list__":
-        return [_thaw(v) for v in obj[1:]]
-    return obj
+    checks: tuple[dict, ...]  # JSON objects, keys sorted at every level
 
 
 def _rat(value, where: str) -> Fraction:
-    try:
-        if isinstance(value, str):
+    # bool is an int subclass, but a JSON true is no coefficient
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
             return Fraction(value)
-        if isinstance(value, (int,)):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
+        except (ValueError, ZeroDivisionError):
+            pass
     raise SpecError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
 
 
@@ -183,6 +164,11 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
             surface_id = raw["surface"]
         except (KeyError, TypeError):
             raise SpecError(f"{w}: missing id or surface") from None
+        try:
+            group = tuple(int(x) for x in raw["group"])
+        except (KeyError, TypeError, ValueError):
+            raise SpecError(f"{w}.group: expected a list of integer orders, "
+                            f"got {raw.get('group')!r}") from None
         if surface_id not in surface_symbols:
             raise SpecError(f"{w}: unknown surface {surface_id!r}")
         if cid in cover_ids:
@@ -219,7 +205,7 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
         covers.append(CoverDef(
             id=cid,
             surface=surface_id,
-            group=tuple(int(x) for x in raw["group"]),
+            group=group,
             branch=tuple(branch),
             reduced_l=tuple(reduced),
         ))
@@ -238,7 +224,7 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
             raise SpecError(f"{w}: unknown surface {raw['surface']!r}")
         if "cover" in raw and raw["cover"] not in cover_ids:
             raise SpecError(f"{w}: unknown cover {raw['cover']!r}")
-        checks.append(_freeze(raw))
+        checks.append(json.loads(json.dumps(raw, sort_keys=True)))
     return WorkbenchFile(
         version=version,
         surfaces=tuple(surfaces),
@@ -292,7 +278,7 @@ def serialize(wf: WorkbenchFile) -> dict:
             }
             for c in wf.covers
         ],
-        "checks": wf.check_dicts(),
+        "checks": list(wf.checks),
     }
 
 
@@ -304,7 +290,7 @@ class Workbench:
         self.seed = seed
         self._surfaces: dict[str, BlowupSurface] = {}
         self._covers: dict[str, CoverSpec] = {}
-        self._cover_valid: dict[str, bool] = {}
+        self._validation: dict[str, list[Check]] = {}
 
     def surface(self, sid: str) -> BlowupSurface:
         if sid not in self._surfaces:
@@ -345,24 +331,37 @@ class Workbench:
             )
         return self._covers[cid]
 
+    def validation(self, cid: str) -> list[Check]:
+        """The cover-data checks of one cover, run once."""
+        if cid not in self._validation:
+            self._validation[cid] = validate_cover_data(self.cover(cid))
+        return self._validation[cid]
+
     def cover_valid(self, cid: str) -> bool:
-        if cid not in self._cover_valid:
-            checks = validate_cover_data(self.cover(cid))
-            self._cover_valid[cid] = all(c.status == "pass" for c in checks)
-        return self._cover_valid[cid]
+        return all(c.status == "pass" for c in self.validation(cid))
+
+
+def _run(jobs, seed: int) -> VerificationReport:
+    """One report over (file, suite) jobs, each file on its own Workbench."""
+    report = VerificationReport(seed=seed)
+    for wf, suite in jobs:
+        wb = Workbench(wf, seed=seed)
+        for params in wf.checks:
+            if suite == "all" or params.get("suite", "all") == suite:
+                report.extend(run_check(wb, params))
+    return report
+
+
+def _named_file(tags) -> WorkbenchFile:
+    checks = [params for tag in tags for params in NAMED_CHECKS[tag]]
+    return parse_data({"version": FORMAT_VERSION, "checks": checks}, where="named checks")
 
 
 def run_suite(wf: WorkbenchFile, suite: str = "all", seed: int = 0) -> VerificationReport:
     """Execute the file's checks for one suite; deterministic given (file, seed)."""
     if suite not in SUITES:
         raise SpecError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    wb = Workbench(wf, seed=seed)
-    report = VerificationReport(seed=seed)
-    for params in wf.check_dicts():
-        if suite != "all" and params.get("suite", "all") != suite:
-            continue
-        report.extend(run_check(wb, params))
-    return report
+    return _run([(wf, suite)], seed)
 
 
 def bundled_fixture_names() -> list[str]:
@@ -377,24 +376,12 @@ def load_bundled(name: str) -> WorkbenchFile:
 def paper_suite(seed: int = 0) -> VerificationReport:
     """Every bundled check: the two cover workbenches plus the named
     numeric checks, one report line per claim with its citation tag."""
-    report = VerificationReport(seed=seed)
-    for name in bundled_fixture_names():
-        wf = load_bundled(name)
-        wb = Workbench(wf, seed=seed)
-        for params in wf.check_dicts():
-            report.extend(run_check(wb, params))
-    empty = Workbench(WorkbenchFile(FORMAT_VERSION, (), (), ()), seed=seed)
-    for tag in sorted(NAMED_CHECKS):
-        for params in NAMED_CHECKS[tag]:
-            report.extend(run_check(empty, params))
-    return report
+    files = [load_bundled(name) for name in bundled_fixture_names()]
+    files.append(_named_file(sorted(NAMED_CHECKS)))
+    return _run([(wf, "all") for wf in files], seed)
 
 
 def run_named(tag: str, seed: int = 0) -> VerificationReport:
     if tag not in NAMED_CHECKS:
         raise SpecError(f"unknown check tag {tag!r}; known: {', '.join(sorted(NAMED_CHECKS))}")
-    report = VerificationReport(seed=seed)
-    empty = Workbench(WorkbenchFile(FORMAT_VERSION, (), (), ()), seed=seed)
-    for params in NAMED_CHECKS[tag]:
-        report.extend(run_check(empty, params))
-    return report
+    return _run([(_named_file([tag]), "all")], seed)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -247,3 +247,14 @@ def test_branch_component_validation(cover_h):
         BranchComponent("bad", lat.divisor({"L": 1}), pair, 0)
     with pytest.raises(CoverDataError):
         BranchComponent("bad", lat.zero(), pair, 2)
+
+
+def test_cover_spec_is_frozen(cover_g):
+    # derived data is cached on the spec, so its fields must never change
+    with pytest.raises(FrozenInstanceError):
+        cover_g.branch = ()
+    with pytest.raises(FrozenInstanceError):
+        cover_g.reduced_l = ()
+    assert cover_g.all_l == derive_all_L(cover_g)
+    assert cover_g.branch_points == tuple(classify_branch_points(cover_g))
+    assert cover_g.ramification == canonical_cover(cover_g, cover_g.group.exponent)

@@ -53,6 +53,49 @@ def test_parse_errors(tmp_path):
         parse_spec(tmp_path / "missing.json")
 
 
+def _one_cover(**cover):
+    return {
+        "version": 1,
+        "surfaces": [{"id": "S", "script": [["free_point", "p"]], "blowups": [["p", "E1"]]}],
+        "covers": [{"id": "c", "surface": "S", "branch": [], "reduced_L": [], **cover}],
+    }
+
+
+@pytest.mark.parametrize("group", [None, ["two"], 2])
+def test_bad_cover_group_names_the_field(group):
+    data = _one_cover() if group is None else _one_cover(group=group)
+    with pytest.raises(SpecError) as err:
+        parse_data(data)
+    assert "covers[0].group" in str(err.value)
+
+
+def test_boolean_coefficient_rejected():
+    data = _one_cover(group=[2], reduced_L=[{"character": [1], "class": {"L": True}}])
+    with pytest.raises(SpecError) as err:
+        parse_data(data)
+    assert "reduced_L[0].class.L" in str(err.value)
+
+
+def test_cover_derivations_run_once_per_spec(monkeypatch):
+    from collections import Counter
+
+    from scw import cover
+
+    specs, calls = [], Counter()
+    for name in ("derive_all_L", "classify_branch_points"):
+        original = getattr(cover, name)
+
+        def counted(spec, _original=original, _name=name):
+            specs.append(spec)  # keeps every id unique for the whole run
+            calls[_name, id(spec)] += 1
+            return _original(spec)
+
+        monkeypatch.setattr(cover, name, counted)
+    assert paper_suite(seed=0).all_passed
+    assert {name for name, _ in calls} == {"derive_all_L", "classify_branch_points"}
+    assert max(calls.values()) == 1, calls
+
+
 def test_duplicate_check_names_rejected():
     with pytest.raises(SpecError):
         parse_data({
