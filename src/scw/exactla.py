@@ -2,20 +2,73 @@
 
 Dense matrices of two sizes: lattice systems stay below about 25x25, while
 the interpolation matrices behind h^0 grow with the degree (24x55 at degree
-9, 90x91 at degree 12).  Plain row reduction with exact arithmetic: simple,
-but its cost grows quickly with the size.  No floating point anywhere.
+9, 90x91 at degree 12).  Rational rows are scaled to integer rows by the lcm
+of their denominators.  Rank is eliminated mod the prime PRIME first: a
+minor that is nonzero mod p is nonzero over Z, so that rank is a lower bound
+over Q, and exact when it is full.  Only otherwise does fraction-free
+(Bareiss) elimination over Z decide.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
-Matrix = list[list[Fraction]]
+PRIME = 2**61 - 1
 
 
-def as_fraction_matrix(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _integer_row(row) -> tuple[list[int], int]:
+    """The row times the lcm d of its denominators, exactly, and d."""
+    row = [x if type(x) is int else Fraction(x) for x in row]
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free elimination of an integer matrix, in place.
+
+    Return (rank, d), where d is the last pivot times the sign of the row
+    swaps: the determinant when the matrix is square and of full rank.
+    Every entry stays a minor of the input, so each division is exact.
+    """
+    r, prev, sign = 0, 1, 1
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p, top = a[r][c], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        r += 1
+        if r == len(a):
+            break
+    return r, sign * prev
+
+
+def _rank_mod_p(a: list[list[int]]) -> int:
+    """Rank of an integer matrix over Z/PRIME, a lower bound on its rank over Q."""
+    m = [[x % PRIME for x in row] for row in a]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, PRIME)
+        top = [x * inv % PRIME for x in m[r]]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            if f:
+                m[i] = [(x - f * y) % PRIME for x, y in zip(m[i], top)]
+        r += 1
+        if r == len(m):
+            break
+    return r
 
 
 def det_bareiss(rows) -> Fraction:
@@ -24,59 +77,23 @@ def det_bareiss(rows) -> Fraction:
     Rational input is first scaled row-by-row to integers; the determinant
     is divided back by the scaling factors at the end.
     """
-    m = as_fraction_matrix(rows)
-    n = len(m)
+    scaled = [_integer_row(row) for row in rows]
+    n = len(scaled)
     if n == 0:
         return Fraction(1)
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row, _ in scaled):
         raise ValueError("determinant requires a square matrix")
-    scale = Fraction(1)
-    a: list[list[int]] = []
-    for row in m:
-        d = lcm(*(x.denominator for x in row))
-        scale *= d
-        a.append([int(x * d) for x in row])
-
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], 1) / scale
+    r, det = _bareiss([row for row, _ in scaled])
+    return Fraction(det, prod(d for _, d in scaled)) if r == n else Fraction(0)
 
 
 def rank(rows) -> int:
-    """Rank over Q by Gaussian elimination."""
-    m = as_fraction_matrix(rows)
-    if not m:
-        return 0
-    n_cols = len(m[0])
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c] / pv
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    """Rank over Q: mod PRIME when that rank is full, else by exact Bareiss."""
+    a = [_integer_row(row)[0] for row in rows]
+    r = _rank_mod_p(a)
+    if not a or r == min(len(a), len(a[0])):
+        return r
+    return _bareiss(a)[0]
 
 
 class _SnfState:

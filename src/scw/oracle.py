@@ -6,8 +6,10 @@ realized with exact rational coordinates drawn from a seeded generator;
 draws that violate the declared incidence pattern (coincident points,
 undeclared collinearities) are rejected and retried.  h^0 of d*L - sum(m_i
 E_i) is then the corank of the interpolation matrix imposing multiplicity
-m_i at each realized point, computed over Q.  Results are accepted only on
-consensus across several seeds.
+m_i at each realized point.  Its rank over Q is certified: the rank mod a
+61-bit prime is a lower bound, exact when it is full; otherwise exact
+fraction-free elimination decides.  Results are accepted only on consensus
+across several seeds.
 """
 
 from __future__ import annotations

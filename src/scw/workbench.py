@@ -87,6 +87,13 @@ def _rat(value, where: str) -> Fraction:
     raise SpecError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
 
 
+def _int(value, where: str) -> int:
+    # int() would truncate 2.5 to 2 and read a JSON true as 1
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SpecError(f"{where}: expected an integer, got {value!r}")
+
+
 def _rat_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -165,8 +172,8 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
         except (KeyError, TypeError):
             raise SpecError(f"{w}: missing id or surface") from None
         try:
-            group = tuple(int(x) for x in raw["group"])
-        except (KeyError, TypeError, ValueError):
+            group = tuple(_int(x, f"{w}.group") for x in raw["group"])
+        except (KeyError, TypeError):
             raise SpecError(f"{w}.group: expected a list of integer orders, "
                             f"got {raw.get('group')!r}") from None
         if surface_id not in surface_symbols:
@@ -183,11 +190,12 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
                 bdef = BranchDef(
                     name=b["name"],
                     cls=_class_items(b["class"], symbols, f"{bw}.class"),
-                    generator=tuple(int(x) for x in b["subgroup_generator"]),
-                    exponent=int(b["character_exponent"]),
-                    components=int(b["components"]),
+                    generator=tuple(_int(x, f"{bw}.subgroup_generator")
+                                    for x in b["subgroup_generator"]),
+                    exponent=_int(b["character_exponent"], f"{bw}.character_exponent"),
+                    components=_int(b["components"], f"{bw}.components"),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise SpecError(f"{bw}: malformed branch component ({exc})") from None
             if bdef.name in names:
                 raise SpecError(f"{bw}: duplicate component name {bdef.name!r}")
@@ -197,9 +205,9 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
         for j, entry in enumerate(raw.get("reduced_L", [])):
             rw = f"{w}.reduced_L[{j}]"
             try:
-                chi = tuple(int(x) for x in entry["character"])
+                chi = tuple(_int(x, f"{rw}.character") for x in entry["character"])
                 cls = _class_items(entry["class"], symbols, f"{rw}.class")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise SpecError(f"{rw}: malformed entry ({exc})") from None
             reduced.append((chi, cls))
         covers.append(CoverDef(

@@ -1,0 +1,142 @@
+"""Rank and determinant against a plain Fraction Gauss-Jordan reference."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import scw.exactla as exactla
+from scw.exactla import PRIME, det_bareiss, rank
+from scw.oracle import FreePoint, h0_from_realization, realize_configuration
+
+PROPS = settings(max_examples=100, deadline=None)
+RATIONALS = st.integers(-2, 2) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+def reference_rank(rows) -> int:
+    """Rank over Q by Fraction Gauss-Jordan elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    r = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c] / m[r][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
+def reference_det(rows) -> Fraction:
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+@st.composite
+def low_rank(draw, entries=st.integers(-6, 6)):
+    """A*B with A n x k and B k x c, so the rank is at most k."""
+    n, c = draw(st.integers(0, 10)), draw(st.integers(0, 12))
+    k = draw(st.integers(0, 6))
+    a = [[draw(entries) for _ in range(k)] for _ in range(n)]
+    b = [[draw(entries) for _ in range(c)] for _ in range(k)]
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(c)] for i in range(n)]
+
+
+@st.composite
+def scaled_rows(draw, factor):
+    """A low-rank matrix with some rows scaled by factor and some zeroed."""
+    rows = draw(low_rank())
+    out = []
+    for row in rows:
+        how = draw(st.sampled_from(("keep", "scale", "zero")))
+        out.append([factor(x, draw) for x in row] if how == "scale"
+                   else [0] * len(row) if how == "zero" else row)
+    return out
+
+
+@PROPS
+@given(low_rank())
+def test_rank_of_low_rank_products(rows):
+    assert rank(rows) == reference_rank(rows)
+
+
+@PROPS
+@given(low_rank(st.integers(2**61, 2**70) | st.integers(-(2**70), -(2**61))))
+def test_rank_with_entries_beyond_the_prime(rows):
+    assert rank(rows) == reference_rank(rows)
+
+
+@PROPS
+@given(scaled_rows(lambda x, draw: x * PRIME ** draw(st.integers(1, 2))))
+def test_rank_with_rows_times_the_prime(rows):
+    assert rank(rows) == reference_rank(rows)
+
+
+@PROPS
+@given(scaled_rows(lambda x, draw: Fraction(x, draw(st.integers(1, 50)))))
+def test_rank_of_rational_rows(rows):
+    assert rank(rows) == reference_rank(rows)
+
+
+@PROPS
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_det_bareiss_matches_reference(rows):
+    assert det_bareiss(rows) == reference_det(rows)
+
+
+def test_small_cases():
+    assert rank([]) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([[Fraction(1, 2), Fraction(1, 3)], [1, Fraction(2, 3)]]) == 1
+    assert det_bareiss([]) == 1
+    assert det_bareiss([[Fraction(1, 2), Fraction(1, 3)], [1, 1]]) == Fraction(1, 6)
+    with pytest.raises(ValueError):
+        det_bareiss([[1, 2]])
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    calls = []
+    original = exactla._bareiss
+
+    def counted(a):
+        calls.append((len(a), len(a[0]) if a else 0))
+        return original(a)
+
+    monkeypatch.setattr(exactla, "_bareiss", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows, expected", [([[PRIME, 0], [0, 1]], 2), ([[PRIME]], 1)])
+def test_prime_dividing_a_maximal_minor_falls_back(fallbacks, rows, expected):
+    assert rank(rows) == expected
+    assert fallbacks == [(len(rows), len(rows[0]))]
+
+
+def test_full_rank_interpolation_matrix_needs_no_fallback(fallbacks):
+    # degree 9 with multiplicities (3,2,2,2,2,2,1,1,1): a 24 x 55 matrix
+    names = [f"p{i}" for i in range(9)]
+    realization = realize_configuration([FreePoint(n) for n in names], 0)
+    mults = dict(zip(names, (3, 2, 2, 2, 2, 2, 1, 1, 1)))
+    assert h0_from_realization(realization, 9, mults) == 55 - 24
+    assert fallbacks == []

@@ -76,6 +76,26 @@ def test_boolean_coefficient_rejected():
     assert "reduced_L[0].class.L" in str(err.value)
 
 
+_BRANCH = {"name": "B", "class": {"L": 1}, "subgroup_generator": [1],
+           "character_exponent": 1, "components": 1}
+
+
+@pytest.mark.parametrize("cover, field", [
+    ({"group": [2], "branch": [{**_BRANCH, "components": 2.5}]}, "branch[0].components"),
+    ({"group": [2], "branch": [{**_BRANCH, "character_exponent": 1.9}]},
+     "branch[0].character_exponent"),
+    ({"group": [2], "branch": [{**_BRANCH, "subgroup_generator": [True]}]},
+     "branch[0].subgroup_generator"),
+    ({"group": [2.7]}, "covers[0].group"),
+    ({"group": [2], "reduced_L": [{"character": [False], "class": {"L": 1}}]},
+     "reduced_L[0].character"),
+])
+def test_non_integer_cover_fields_rejected(cover, field):
+    with pytest.raises(SpecError) as err:
+        parse_data(_one_cover(**cover))
+    assert field in str(err.value)
+
+
 def test_cover_derivations_run_once_per_spec(monkeypatch):
     from collections import Counter
 
