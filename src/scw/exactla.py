@@ -6,7 +6,10 @@ the interpolation matrices behind h^0 grow with the degree (24x55 at degree
 of their denominators.  Rank is eliminated mod the prime PRIME first: a
 minor that is nonzero mod p is nonzero over Z, so that rank is a lower bound
 over Q, and exact when it is full.  Only otherwise does fraction-free
-(Bareiss) elimination over Z decide.  No floating point anywhere.
+(Bareiss) elimination over Z decide.  PRIME is the largest prime below 2^30,
+so every residue is a single 30-bit CPython digit and each reduction divides
+by a single digit; a larger prime would make the elimination multi-digit
+arithmetic.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-PRIME = 2**61 - 1
+PRIME = 1073741789  # the largest prime below 2**30
 
 
 def _integer_row(row) -> tuple[list[int], int]:
@@ -50,23 +53,25 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
     return r, sign * prev
 
 
-def _rank_mod_p(a: list[list[int]]) -> int:
-    """Rank of an integer matrix over Z/PRIME, a lower bound on its rank over Q."""
-    m = [[x % PRIME for x in row] for row in a]
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank over Z/PRIME of rows of residues in [0, PRIME).
+
+    Each step removes its pivot row and keeps the other rows only right of
+    the pivot column, since they are zero up to it; k is the offset of the
+    current column in the rows kept.  The input rows are not modified.
+    """
+    m, r, k = list(rows), 0, 0
+    for _ in range(len(m[0]) if m else 0):
+        piv = next((i for i, row in enumerate(m) if row[k]), None)
         if piv is None:
+            k += 1
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, PRIME)
-        top = [x * inv % PRIME for x in m[r]]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            if f:
-                m[i] = [(x - f * y) % PRIME for x, y in zip(m[i], top)]
-        r += 1
-        if r == len(m):
+        top = m.pop(piv)
+        neg_inv, tail = PRIME - pow(top[k], -1, PRIME), top[k + 1:]
+        m = [[(x + f * y) % PRIME for x, y in zip(row[k + 1:], tail)]
+             if (f := row[k] * neg_inv % PRIME) else row[k + 1:] for row in m]
+        r, k = r + 1, 0
+        if not m:
             break
     return r
 
@@ -87,13 +92,21 @@ def det_bareiss(rows) -> Fraction:
     return Fraction(det, prod(d for _, d in scaled)) if r == n else Fraction(0)
 
 
-def rank(rows) -> int:
-    """Rank over Q: mod PRIME when that rank is full, else by exact Bareiss."""
-    a = [_integer_row(row)[0] for row in rows]
-    r = _rank_mod_p(a)
-    if not a or r == min(len(a), len(a[0])):
+def rank(rows, exact=None) -> int:
+    """Rank over Q: mod PRIME when that rank is full, else by exact Bareiss.
+
+    `rows` is the matrix, rational or integer.  A caller that has its
+    residues mod PRIME already passes those as `rows`, and as `exact` a
+    function returning the integer matrix they reduce; it is called only when
+    the rank mod PRIME is not full.
+    """
+    if exact is None:
+        a = [_integer_row(row)[0] for row in rows]
+        rows, exact = [[x % PRIME for x in row] for row in a], lambda: a
+    r = _rank_mod_p(rows)
+    if not rows or r == min(len(rows), len(rows[0])):
         return r
-    return _bareiss(a)[0]
+    return _bareiss(exact())[0]
 
 
 class _SnfState:
@@ -177,10 +190,3 @@ def smith_normal_form(rows: list[list[int]]):
     v = [[st.vt[j][i] for j in range(st.n)] for i in range(st.n)]
     return st.u, st.a, v
 
-
-def verify_snf(a_rows, u, s, v) -> bool:
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    ua = [[sum(u[i][k] * a_rows[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
-    uav = [[sum(ua[i][k] * v[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
-    return uav == [list(map(int, row)) for row in s]

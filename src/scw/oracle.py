@@ -6,10 +6,12 @@ realized with exact rational coordinates drawn from a seeded generator;
 draws that violate the declared incidence pattern (coincident points,
 undeclared collinearities) are rejected and retried.  h^0 of d*L - sum(m_i
 E_i) is then the corank of the interpolation matrix imposing multiplicity
-m_i at each realized point.  Its rank over Q is certified: the rank mod a
-61-bit prime is a lower bound, exact when it is full; otherwise exact
-fraction-free elimination decides.  Results are accepted only on consensus
-across several seeds.
+m_i at each realized point.  Its rank over Q is certified: the rank mod the
+prime exactla.PRIME, just below 2^30, is a lower bound, exact when it is
+full.  The rows are built as residues directly, so every entry is a single
+30-bit CPython digit; the exact integer rows are built only when that rank
+is not full, and fraction-free elimination over Z then decides.  Results are
+accepted only on consensus across several seeds.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, perm
 
-from .exactla import rank
+from .exactla import PRIME, rank
 
 COORD_BOX = 10_000
 MAX_ATTEMPTS = 64
@@ -147,7 +149,7 @@ class Realization:
 
 
 class _Degenerate(Exception):
-    pass
+    """A step of the script has no well-defined result in this draw."""
 
 
 def _draw(script, rng: random.Random):
@@ -163,12 +165,12 @@ def _draw(script, rng: random.Random):
         elif isinstance(step, FreeLine):
             v = (rint(), rint(), rint())
             if v == (0, 0, 0):
-                raise _Degenerate
+                raise _Degenerate(step.name)
             lines[step.name] = _normalize(v)
         elif isinstance(step, LineThrough):
             v = _cross(points[step.a], points[step.b])
             if v == (0, 0, 0):
-                raise _Degenerate
+                raise _Degenerate(step.name)
             lines[step.name] = _normalize(v)
         elif isinstance(step, PointOnLine):
             a, b, c = lines[step.line]
@@ -177,12 +179,12 @@ def _draw(script, rng: random.Random):
             s, t = rint(), rint()
             p = tuple(s * x + t * y for x, y in zip(u, w))
             if p == (0, 0, 0):
-                raise _Degenerate
+                raise _Degenerate(step.name)
             points[step.name] = _normalize(p)  # type: ignore[arg-type]
         elif isinstance(step, IntersectionPoint):
             p = _cross(lines[step.a], lines[step.b])
             if p == (0, 0, 0):
-                raise _Degenerate
+                raise _Degenerate(step.name)
             points[step.name] = _normalize(p)
     return points, lines
 
@@ -206,39 +208,44 @@ def realize_configuration(script, seed: int, marked_points=None) -> Realization:
         for triple in itertools.combinations(mk, 3):
             declared.add(frozenset(triple))
 
+    mk = sorted(marked)
+    reasons = []
     for attempt in range(MAX_ATTEMPTS):
         rng = random.Random(f"scw:{seed}:{attempt}")
         try:
             points, lines = _draw(script, rng)
-        except _Degenerate:
+        except _Degenerate as exc:
+            reasons.append(f"step {exc.args[0]!r} is degenerate")
             continue
-        ok = True
-        # declared incidences must hold exactly (construction guarantees it;
-        # keep the assertion as a guard against script edits)
-        for ln, pts in incidence.items():
-            line = lines[ln]
-            if any(sum(a * b for a, b in zip(points[p], line)) != 0 for p in pts):
-                ok = False
-                break
-        if not ok:
-            continue
-        mk = sorted(marked)
-        for p, q in itertools.combinations(mk, 2):
-            if points[p] == points[q]:
-                ok = False
-                break
-        if not ok:
-            continue
-        for triple in itertools.combinations(mk, 3):
-            collinear = _det3(*(points[t] for t in triple)) == 0
-            if collinear != (frozenset(triple) in declared):
-                ok = False
-                break
-        if ok:
+        reason = _rejection(points, lines, incidence, mk, declared)
+        if reason is None:
             return Realization(seed=seed, points=dict(points), lines=dict(lines))
-    raise RealizationError(
-        f"could not realize the configuration after {MAX_ATTEMPTS} attempts (seed {seed})"
-    )
+        reasons.append(reason)
+    message = f"could not realize the configuration after {MAX_ATTEMPTS} attempts (seed {seed})"
+    if len(set(reasons)) == 1:
+        message += f": in every draw, {reasons[0]}"
+    raise RealizationError(message)
+
+
+def _rejection(points, lines, incidence, mk, declared) -> str | None:
+    """Why a draw is rejected, naming the offending points; None if it is not."""
+    # declared incidences must hold exactly (construction guarantees it;
+    # keep the assertion as a guard against script edits)
+    for ln, pts in incidence.items():
+        line = lines[ln]
+        off = [p for p in pts if sum(a * b for a, b in zip(points[p], line)) != 0]
+        if off:
+            return f"point {min(off)!r} is off line {ln!r}"
+    for p, q in itertools.combinations(mk, 2):
+        if points[p] == points[q]:
+            return f"marked points {p!r} and {q!r} coincide"
+    for triple in itertools.combinations(mk, 3):
+        collinear = _det3(*(points[t] for t in triple)) == 0
+        if collinear != (frozenset(triple) in declared):
+            names = ", ".join(map(repr, triple))
+            return (f"marked points {names} are collinear but no line of the script holds them"
+                    if collinear else f"marked points {names} are declared collinear but are not")
+    return None
 
 
 def collinear_sets(script, marked_points) -> list[frozenset[str]]:
@@ -253,13 +260,6 @@ def collinear_sets(script, marked_points) -> list[frozenset[str]]:
     return out
 
 
-def _falling(base: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= base - i
-    return out
-
-
 def _multiplicity_rows(point: Triple, mult: int, degree: int, monomials) -> list[list[int]]:
     """Vanishing of all partials of order mult-1 at the point (exact)."""
     rows = []
@@ -269,7 +269,7 @@ def _multiplicity_rows(point: Triple, mult: int, degree: int, monomials) -> list
             if a < u or b < v or c < w:
                 row.append(0)
                 continue
-            coeff = _falling(a, u) * _falling(b, v) * _falling(c, w)
+            coeff = perm(a, u) * perm(b, v) * perm(c, w)
             row.append(
                 coeff
                 * point[0] ** (a - u)
@@ -278,6 +278,23 @@ def _multiplicity_rows(point: Triple, mult: int, degree: int, monomials) -> list
             )
         rows.append(row)
     return rows
+
+
+def _residue_rows(point: Triple, mult: int, degree: int, monomials) -> list[list[int]]:
+    """`_multiplicity_rows` mod PRIME, without the exact products.
+
+    The order-(u, v, w) partial of x^a y^b z^c at the point is the product
+    of perm(a, u) x^(a-u), perm(b, v) y^(b-v) and perm(c, w) z^(c-w); each
+    factor is tabulated mod PRIME once per coordinate and order.
+    """
+    tables = []
+    for t in point:
+        powers = [pow(t, e, PRIME) for e in range(degree + 1)]
+        tables.append([[perm(a, u) * powers[a - u] % PRIME if a >= u else 0
+                        for a in range(degree + 1)] for u in range(mult)])
+    xs, ys, zs = tables
+    return [[x[a] * y[b] % PRIME * z[c] % PRIME for a, b, c in monomials]
+            for x, y, z in ((xs[u], ys[v], zs[w]) for u, v, w in _monomial_exponents(mult - 1))]
 
 
 def _monomial_exponents(degree: int):
@@ -294,7 +311,7 @@ def h0_from_realization(realization: Realization, degree: int, multiplicities: d
     if degree < 0:
         return 0
     monomials = list(_monomial_exponents(degree))
-    rows: list[list[int]] = []
+    conditions = []
     for name, mult in sorted(multiplicities.items()):
         if mult <= 0:
             continue
@@ -303,11 +320,15 @@ def h0_from_realization(realization: Realization, degree: int, multiplicities: d
             # (the order-(m-1) partials would be identically zero for
             # m > d+1, so this case must short-circuit)
             return 0
-        rows.extend(_multiplicity_rows(realization.points[name], mult, degree, monomials))
+        conditions.append((realization.points[name], mult))
     n_cols = comb(degree + 2, 2)
-    if not rows:
+    if not conditions:
         return n_cols
-    return n_cols - rank(rows)
+    residues = [row for point, mult in conditions
+                for row in _residue_rows(point, mult, degree, monomials)]
+    return n_cols - rank(residues, exact=lambda: [
+        row for point, mult in conditions
+        for row in _multiplicity_rows(point, mult, degree, monomials)])
 
 
 def realization_to_json(realization: Realization) -> dict:

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import scw.exactla as exactla
 from scw.exactla import PRIME, det_bareiss, rank
-from scw.oracle import FreePoint, h0_from_realization, realize_configuration
+from scw.oracle import (FreePoint, Realization, _monomial_exponents, _multiplicity_rows,
+                        _residue_rows, h0_from_realization, realize_configuration)
 
 PROPS = settings(max_examples=100, deadline=None)
 RATIONALS = st.integers(-2, 2) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -31,6 +32,23 @@ def reference_rank(rows) -> int:
         r += 1
         if r == len(m):
             break
+    return r
+
+
+def reference_rank_mod_p(rows) -> int:
+    """Rank over Z/PRIME by Gauss elimination on whole rows."""
+    m = [[x % PRIME for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, PRIME)
+        for i in range(r + 1, len(m)):
+            f = m[i][c] * inv % PRIME
+            m[i] = [(x - f * y) % PRIME for x, y in zip(m[i], m[r])]
+        r += 1
     return r
 
 
@@ -62,6 +80,14 @@ def low_rank(draw, entries=st.integers(-6, 6)):
 
 
 @st.composite
+def zeroed_columns(draw):
+    """A low-rank matrix with some columns set to zero."""
+    rows = draw(low_rank())
+    zero = draw(st.sets(st.integers(0, 11)))
+    return [[0 if j in zero else x for j, x in enumerate(row)] for row in rows]
+
+
+@st.composite
 def scaled_rows(draw, factor):
     """A low-rank matrix with some rows scaled by factor and some zeroed."""
     rows = draw(low_rank())
@@ -89,6 +115,13 @@ def test_rank_with_entries_beyond_the_prime(rows):
 @given(scaled_rows(lambda x, draw: x * PRIME ** draw(st.integers(1, 2))))
 def test_rank_with_rows_times_the_prime(rows):
     assert rank(rows) == reference_rank(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zeroed_columns() | scaled_rows(lambda x, draw: x * PRIME ** draw(st.integers(1, 2))))
+def test_rank_mod_p_matches_whole_row_elimination(rows):
+    residues = [[x % PRIME for x in row] for row in rows]
+    assert exactla._rank_mod_p(residues) == reference_rank_mod_p(rows)
 
 
 @PROPS
@@ -140,3 +173,24 @@ def test_full_rank_interpolation_matrix_needs_no_fallback(fallbacks):
     mults = dict(zip(names, (3, 2, 2, 2, 2, 2, 1, 1, 1)))
     assert h0_from_realization(realization, 9, mults) == 55 - 24
     assert fallbacks == []
+
+
+def test_h0_full_rank_over_q_but_not_mod_the_prime_falls_back(fallbacks):
+    # the rows (PRIME, 0, 1) and (0, 0, 1) are independent over Q, not mod PRIME
+    realization = Realization(seed=0, points={"a": (PRIME, 0, 1), "b": (0, 0, 1)}, lines={})
+    assert h0_from_realization(realization, 1, {"a": 1, "b": 1}) == 1
+    assert fallbacks == [(2, 3)]
+
+
+COORDS = (st.integers(-(2**70), 2**70) | st.integers(2**30, 2**40)
+          | st.integers(-3, 3).map(lambda k: k * PRIME) | st.integers(-9, 9))
+
+
+@PROPS
+@given(st.tuples(COORDS, COORDS, COORDS), st.integers(1, 12))
+def test_residue_rows_are_the_exact_rows_mod_the_prime(point, degree):
+    monomials = list(_monomial_exponents(degree))
+    for mult in range(1, degree + 1):
+        exact = _multiplicity_rows(point, mult, degree, monomials)
+        assert _residue_rows(point, mult, degree, monomials) == [
+            [x % PRIME for x in row] for row in exact]

@@ -57,7 +57,31 @@ def test_contradictory_script_exhausts_retries():
         LineThrough("l3", "a", "b"),
         IntersectionPoint("x", "l1", "l2"),
     ]
-    with pytest.raises(RealizationError):
+    with pytest.raises(RealizationError, match="in every draw, step 'x' is degenerate"):
+        realize_configuration(script, 0)
+
+
+def test_forced_collinearity_is_named():
+    # Pappus: the diagonal points x, y, z of a hexagon inscribed in two lines
+    # are always collinear, and the script declares no line through them
+    script = [FreeLine("l"), FreeLine("m")]
+    script += [PointOnLine(p, "l") for p in "ABC"] + [PointOnLine(p, "m") for p in "abc"]
+    script += [LineThrough(p + q, p, q) for p, q in ("Ab", "aB", "Ac", "aC", "Bc", "bC")]
+    script += [IntersectionPoint("x", "Ab", "aB"), IntersectionPoint("y", "Ac", "aC"),
+               IntersectionPoint("z", "Bc", "bC")]
+    with pytest.raises(RealizationError, match="in every draw, marked points 'x', 'y', 'z' "
+                                               "are collinear but no line of the script"):
+        realize_configuration(script, 0)
+    realize_configuration(script, 0, marked_points="ABCabc")
+
+
+def test_forced_coincidence_is_named():
+    # the line through a and b meets the line through a and c in a itself
+    script = [FreePoint("a"), FreePoint("b"), FreePoint("c"),
+              LineThrough("ab", "a", "b"), LineThrough("ac", "a", "c"),
+              IntersectionPoint("x", "ab", "ac")]
+    with pytest.raises(RealizationError,
+                       match="in every draw, marked points 'a' and 'x' coincide"):
         realize_configuration(script, 0)
 
 

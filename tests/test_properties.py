@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from scw.cover import derive_all_L
-from scw.exactla import smith_normal_form, verify_snf
+from scw.exactla import smith_normal_form
 from scw.lattice import blowup_lattice, gram_det, solve_divide
 from scw.lefschetz import involution_counts, involution_from_counts, order3_counts
 
@@ -120,6 +120,15 @@ def det_cofactor(m):
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
         total += (-1) ** j * Fraction(m[0][j]) * det_cofactor(minor)
     return total
+
+
+def verify_snf(a_rows, u, s, v) -> bool:
+    """U*A*V == S, multiplied out exactly."""
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    ua = [[sum(u[i][k] * a_rows[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
+    uav = [[sum(ua[i][k] * v[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
+    return uav == [list(map(int, row)) for row in s]
 
 
 @settings(max_examples=300, deadline=None)
