@@ -285,13 +285,14 @@ def _residue_rows(point: Triple, mult: int, degree: int, monomials) -> list[list
 
     The order-(u, v, w) partial of x^a y^b z^c at the point is the product
     of perm(a, u) x^(a-u), perm(b, v) y^(b-v) and perm(c, w) z^(c-w); each
-    factor is tabulated mod PRIME once per coordinate and order.
+    factor is tabulated mod PRIME once per coordinate and order (the
+    order-0 table is the powers themselves).
     """
     tables = []
     for t in point:
         powers = [pow(t, e, PRIME) for e in range(degree + 1)]
-        tables.append([[perm(a, u) * powers[a - u] % PRIME if a >= u else 0
-                        for a in range(degree + 1)] for u in range(mult)])
+        tables.append([powers] + [[perm(a, u) * powers[a - u] % PRIME if a >= u else 0
+                                   for a in range(degree + 1)] for u in range(1, mult)])
     xs, ys, zs = tables
     return [[x[a] * y[b] % PRIME * z[c] % PRIME for a, b, c in monomials]
             for x, y, z in ((xs[u], ys[v], zs[w]) for u, v, w in _monomial_exponents(mult - 1))]

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle
-from .lattice import BlowupLattice, DivisorClass, blowup_lattice, format_class
+from .lattice import (BlowupLattice, DivisorClass, LatticeMismatch, blowup_lattice,
+                      format_class)
 from .oracle import Realization, SeedPolicy, check_script, collinear_sets
 
 KIND_MINUS_ONE = "minus-one"
@@ -112,13 +113,11 @@ class BlowupSurface:
         if not d.is_integral:
             raise SurfaceError("h^0 requires an integral class")
         policy = policy or self.seed_policy
-        key = (d.coeffs, policy.seeds())
+        vec = tuple(c.numerator for c in d.coeffs)
+        key = (vec, policy.seeds())
         if key not in self._h0_cache:
-            degree = int(d.coeffs[0])
-            mults = {
-                self.point_of_symbol[s]: -int(d.coeff(s))
-                for s in self.lattice.exceptional_names
-            }
+            degree = vec[0]
+            mults = {point: -m for (point, _symbol), m in zip(self.blowups, vec[1:])}
             values = {
                 seed: oracle.h0_from_realization(self.realization(seed), degree, mults)
                 for seed in policy.seeds()
@@ -271,41 +270,42 @@ def singular_members(surface: BlowupSurface, pencil: Pencil,
 
     The positive-degree multiplicities are enumerated (bounded by the
     pencil degree); the exceptional multiplicities are then forced by
-    coefficient balance.
+    coefficient balance.  Classes are read once as integer vectors, and
+    orthogonality is one integer form (f0, -f1, ..., -fn).
     """
     f = pencil.cls
-    catalog = surface.catalog(degree_bound)
-    orth = [r for r in catalog if f.dot(r.cls) == 0]
-    positive = [r for r in orth if r.cls.coeffs[0] > 0]
-    exceptional = {r.cls.coeffs: r for r in orth if r.cls.coeffs[0] == 0}
-    degree = int(f.coeffs[0])
-
+    if f.lattice != surface.lattice:
+        raise LatticeMismatch("pencil class does not live on this surface")
     decomps = []
-    seen = set()
+    pencil.singular_members = decomps
+    if not f.is_integral:  # a sum of curve classes is integral
+        return decomps
+    fv = tuple(c.numerator for c in f.coeffs)
+    form = (fv[0],) + tuple(-c for c in fv[1:])
+    orth = []
+    for rec in surface.catalog(degree_bound):
+        vec = tuple(c.numerator for c in rec.cls.coeffs)
+        if sum(a * b for a, b in zip(form, vec)) == 0:
+            orth.append((rec, vec))
+    positive = [(rec, vec) for rec, vec in orth if vec[0] > 0]
+    by_vector = {vec: rec for rec, vec in orth if vec[0] == 0}
+    dim = len(fv)
+    exceptional = [by_vector.get(tuple(int(i == j) for j in range(dim))) for i in range(dim)]
 
-    def close_with_exceptionals(chosen: list[tuple[CurveRecord, int]]):
-        rest = f
-        for rec, mult in chosen:
-            rest = rest - mult * rec.cls
-        parts = dict(chosen)
-        for sym in surface.lattice.exceptional_names:
-            c = rest.coeff(sym)
+    def close_with_exceptionals(chosen: list[tuple[CurveRecord, tuple[int, ...], int]]):
+        rest = list(fv)
+        for _rec, vec, mult in chosen:
+            rest = [a - mult * b for a, b in zip(rest, vec)]
+        parts = {rec.name: (rec, mult) for rec, _vec, mult in chosen}
+        for i in range(1, dim):  # rest[0] is 0: the chosen degrees sum to f0
+            c = rest[i]
             if c == 0:
                 continue
-            if c < 0 or c.denominator != 1:
+            rec = exceptional[i]
+            if c < 0 or rec is None:
                 return
-            e_cls = surface.lattice.exceptional(sym)
-            rec = exceptional.get(e_cls.coeffs)
-            if rec is None:
-                return
-            parts[rec] = int(c)
-            rest = rest - int(c) * e_cls
-        if not rest.is_zero:
-            return
-        key = tuple(sorted((r.name, m) for r, m in parts.items()))
-        if key not in seen:
-            seen.add(key)
-            decomps.append(tuple(sorted(parts.items(), key=lambda kv: kv[0].name)))
+            parts[rec.name] = (rec, c)
+        decomps.append(tuple(parts[name] for name in sorted(parts)))
 
     def rec_choose(idx: int, remaining_degree: int, chosen):
         if remaining_degree == 0:
@@ -313,16 +313,14 @@ def singular_members(surface: BlowupSurface, pencil: Pencil,
             return
         if idx == len(positive):
             return
-        curve = positive[idx]
-        d_c = int(curve.cls.coeffs[0])
-        max_mult = remaining_degree // d_c
+        curve, vec = positive[idx]
+        max_mult = remaining_degree // vec[0]
         for mult in range(max_mult, -1, -1):
-            rec_choose(idx + 1, remaining_degree - mult * d_c,
-                       chosen + ([(curve, mult)] if mult else []))
+            rec_choose(idx + 1, remaining_degree - mult * vec[0],
+                       chosen + ([(curve, vec, mult)] if mult else []))
 
-    rec_choose(0, degree, [])
+    rec_choose(0, fv[0], [])
     decomps.sort(key=lambda parts: tuple((r.name, m) for r, m in parts))
-    pencil.singular_members = decomps
     return decomps
 
 

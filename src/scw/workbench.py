@@ -1,4 +1,4 @@
-"""Workbench files: parsing, serialization, and suite execution.
+"""Workbench files: parsing and suite execution.
 
 A workbench file is JSON with construction scripts for surfaces, cover
 specifications over them, and a list of named checks.  Rationals are
@@ -94,10 +94,6 @@ def _int(value, where: str) -> int:
     raise SpecError(f"{where}: expected an integer, got {value!r}")
 
 
-def _rat_json(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _class_items(mapping, symbols, where: str):
     if not isinstance(mapping, dict):
         raise SpecError(f"{where}: expected a symbol->coefficient map")
@@ -120,22 +116,6 @@ def _parse_script(raw, where: str):
             raise SpecError(f"{where}[{i}]: step {entry[0]} expects {arity} string argument(s)")
         steps.append(ctor(*args))
     return tuple(steps)
-
-
-def _script_json(steps):
-    out = []
-    for s in steps:
-        if isinstance(s, FreePoint):
-            out.append(["free_point", s.name])
-        elif isinstance(s, FreeLine):
-            out.append(["free_line", s.name])
-        elif isinstance(s, LineThrough):
-            out.append(["line_through", s.name, s.a, s.b])
-        elif isinstance(s, PointOnLine):
-            out.append(["point_on_line", s.name, s.line])
-        elif isinstance(s, IntersectionPoint):
-            out.append(["intersection_point", s.name, s.a, s.b])
-    return out
 
 
 def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
@@ -250,44 +230,6 @@ def parse_spec(path) -> WorkbenchFile:
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     return parse_data(data, where=str(path))
-
-
-def serialize(wf: WorkbenchFile) -> dict:
-    return {
-        "version": wf.version,
-        "surfaces": [
-            {
-                "id": s.id,
-                "line_symbol": s.line_symbol,
-                "script": _script_json(s.script),
-                "blowups": [[p, sym] for p, sym in s.blowups],
-            }
-            for s in wf.surfaces
-        ],
-        "covers": [
-            {
-                "id": c.id,
-                "surface": c.surface,
-                "group": list(c.group),
-                "branch": [
-                    {
-                        "name": b.name,
-                        "class": {k: _rat_json(v) for k, v in b.cls},
-                        "subgroup_generator": list(b.generator),
-                        "character_exponent": b.exponent,
-                        "components": b.components,
-                    }
-                    for b in c.branch
-                ],
-                "reduced_L": [
-                    {"character": list(chi), "class": {k: _rat_json(v) for k, v in cls}}
-                    for chi, cls in c.reduced_l
-                ],
-            }
-            for c in wf.covers
-        ],
-        "checks": list(wf.checks),
-    }
 
 
 class Workbench:

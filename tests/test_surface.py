@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from scw.oracle import FreePoint
+from scw.lattice import LatticeMismatch
+from scw.oracle import FreePoint, LineThrough, PointOnLine
 from scw.surface import (KIND_MINUS_ONE, KIND_MINUS_TWO, Pencil, SurfaceError,
                          build_surface, contract, find_pencils,
                          isolated_minus_one_curves, minus_one_curves,
@@ -163,6 +164,132 @@ def test_singular_members_y(surface_y):
         (("L-Q-Q2-Q2p", 1), ("L-Q1-Q2-Q3p", 1), ("Q2", 2)),
         (("L-Q-Q3-Q3p", 1), ("L-Q1-Q3-Q2p", 1), ("Q3", 2)),
     }
+
+
+def reference_singular_members(surface, pencil, degree_bound=3):
+    """`singular_members` as it was written on DivisorClass arithmetic."""
+    f = pencil.cls
+    catalog = surface.catalog(degree_bound)
+    orth = [r for r in catalog if f.dot(r.cls) == 0]
+    positive = [r for r in orth if r.cls.coeffs[0] > 0]
+    exceptional = {r.cls.coeffs: r for r in orth if r.cls.coeffs[0] == 0}
+    degree = int(f.coeffs[0])
+
+    decomps = []
+    seen = set()
+
+    def close_with_exceptionals(chosen):
+        rest = f
+        for rec, mult in chosen:
+            rest = rest - mult * rec.cls
+        parts = dict(chosen)
+        for sym in surface.lattice.exceptional_names:
+            c = rest.coeff(sym)
+            if c == 0:
+                continue
+            if c < 0 or c.denominator != 1:
+                return
+            e_cls = surface.lattice.exceptional(sym)
+            rec = exceptional.get(e_cls.coeffs)
+            if rec is None:
+                return
+            parts[rec] = int(c)
+            rest = rest - int(c) * e_cls
+        if not rest.is_zero:
+            return
+        key = tuple(sorted((r.name, m) for r, m in parts.items()))
+        if key not in seen:
+            seen.add(key)
+            decomps.append(tuple(sorted(parts.items(), key=lambda kv: kv[0].name)))
+
+    def rec_choose(idx, remaining_degree, chosen):
+        if remaining_degree == 0:
+            close_with_exceptionals(chosen)
+            return
+        if idx == len(positive):
+            return
+        curve = positive[idx]
+        d_c = int(curve.cls.coeffs[0])
+        for mult in range(remaining_degree // d_c, -1, -1):
+            rec_choose(idx + 1, remaining_degree - mult * d_c,
+                       chosen + ([(curve, mult)] if mult else []))
+
+    rec_choose(0, degree, [])
+    decomps.sort(key=lambda parts: tuple((r.name, m) for r, m in parts))
+    return decomps
+
+
+def _assert_members_match_reference(surface, degree_bound):
+    pencils = find_pencils(surface, degree_bound)
+    assert pencils
+    for pencil in pencils:
+        got = singular_members(surface, pencil, degree_bound)
+        want = reference_singular_members(surface, Pencil(pencil.cls), degree_bound)
+        assert pencil.singular_members is got
+        assert got == want
+        assert [[(id(r), m) for r, m in parts] for parts in got] == \
+            [[(id(r), m) for r, m in parts] for parts in want]
+
+
+def test_singular_members_match_reference_on_w_and_y(surface_w, surface_y):
+    for surface in (surface_w, surface_y):
+        _assert_members_match_reference(surface, 3)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("degree_bound", [2, 3])
+def test_singular_members_match_reference_on_general_points(n, degree_bound):
+    surface = build_surface([FreePoint(f"p{i}") for i in range(1, n + 1)],
+                            [(f"p{i}", f"E{i}") for i in range(1, n + 1)])
+    _assert_members_match_reference(surface, degree_bound)
+
+
+def test_singular_members_of_rational_or_foreign_classes(surface_w):
+    half = surface_w.lattice.divisor({"L": 2, "E1": "-1/2", "E2": "-3/2", "E3": -1,
+                                      "E1p": -1, "E3p": -1})
+    pencil = Pencil(half)
+    assert singular_members(surface_w, pencil) == []
+    assert pencil.singular_members == []
+    other = build_surface([FreePoint("p")], [("p", "E1")])
+    with pytest.raises(LatticeMismatch):
+        singular_members(surface_w, Pencil(other.lattice.divisor({"L": 1, "E1": -1})))
+
+
+# Four collinear points a, b, c, d (E1..E4) and two free points e, f (E5, E6).
+COLLINEAR_SCRIPT = [FreePoint("a"), FreePoint("b"), LineThrough("l", "a", "b"),
+                    PointOnLine("c", "l"), PointOnLine("d", "l"), FreePoint("e"), FreePoint("f")]
+
+
+def _collinear_surface(order="abcdef"):
+    return build_surface(COLLINEAR_SCRIPT, [(p, f"E{i}") for i, p in enumerate(order, 1)])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the catalog knows only (-1)- and (-2)-curves and misses the "
+                          "(-3)-line L-E1-E2-E3-E4, so its reducible sums are catalogued")
+def test_catalog_on_four_collinear_points_has_no_reducible_classes():
+    names = {r.name for r in _collinear_surface().catalog(3)}
+    reducible = {"L-E2-E3-E4", "L-E1-E2", "L-E1-E3", "L-E1-E4", "2L-E1-E2-E3-E5-E6",
+                 "2L-E1-E2-E4-E5-E6", "2L-E1-E3-E4-E5-E6"}
+    assert names & reducible == set()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the catalog on four collinear points depends on which of them "
+                          "is blown up as E1")
+def test_catalog_permutes_with_the_collinear_points():
+    base = {r.cls.coeffs for r in _collinear_surface().catalog(3)}
+    for perm in itertools.permutations("abcd"):
+        order = "".join(perm) + "ef"
+        # E<i> lies over order[i-1], which is E<j> of the base labelling
+        where = [0] + ["abcdef".index(p) + 1 for p in order]
+        got = set()
+        for rec in _collinear_surface(order).catalog(3):
+            vec = [0] * 7
+            for i, c in enumerate(rec.cls.coeffs):
+                vec[where[i]] = c
+            got.add(tuple(vec))
+        assert got == base, order
 
 
 def test_contract_w(surface_w):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -7,10 +8,56 @@ import pytest
 
 from scw import workbench
 from scw.workbench import (SpecError, load_bundled, paper_suite, parse_data,
-                           parse_spec, run_named, run_suite, serialize)
+                           parse_spec, run_named, run_suite)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC / "scw" / "fixtures"
+
+_STEP_NAMES = {ctor: kind for kind, (ctor, _arity) in workbench._STEP_KINDS.items()}
+
+
+def _rat_json(x):
+    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def serialize(wf: workbench.WorkbenchFile) -> dict:
+    """The workbench JSON of a parsed file, for the round-trip test."""
+    return {
+        "version": wf.version,
+        "surfaces": [
+            {
+                "id": s.id,
+                "line_symbol": s.line_symbol,
+                "script": [[_STEP_NAMES[type(step)], *dataclasses.astuple(step)]
+                           for step in s.script],
+                "blowups": [[p, sym] for p, sym in s.blowups],
+            }
+            for s in wf.surfaces
+        ],
+        "covers": [
+            {
+                "id": c.id,
+                "surface": c.surface,
+                "group": list(c.group),
+                "branch": [
+                    {
+                        "name": b.name,
+                        "class": {k: _rat_json(v) for k, v in b.cls},
+                        "subgroup_generator": list(b.generator),
+                        "character_exponent": b.exponent,
+                        "components": b.components,
+                    }
+                    for b in c.branch
+                ],
+                "reduced_L": [
+                    {"character": list(chi), "class": {k: _rat_json(v) for k, v in cls}}
+                    for chi, cls in c.reduced_l
+                ],
+            }
+            for c in wf.covers
+        ],
+        "checks": list(wf.checks),
+    }
 
 
 def test_parse_bundled_fixtures():
