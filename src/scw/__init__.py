@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .lattice import (AbstractLattice, BlowupLattice, DivisorClass, LatticeMismatch,
                       NotDivisible, Relation, Unsolvable, abstract_lattice,
                       adjunction_genus, blowup_lattice, gram_det, hodge_index_bound,
-                      intersect, solve_divide, solve_linear)
+                      solve_divide, solve_linear)
 from .oracle import SeedPolicy
 from .surface import BlowupSurface, build_surface
 
@@ -31,7 +31,6 @@ __all__ = [
     "build_surface",
     "gram_det",
     "hodge_index_bound",
-    "intersect",
     "solve_divide",
     "solve_linear",
 ]

@@ -3,13 +3,14 @@
 Each check is a JSON object with a unique `name`, a `suite`, a citation
 `tag`, a `kind` selecting the handler, and handler-specific parameters.
 Handlers compute exact values and compare them with the expected data
-frozen in the file; they return Check records and never raise (an
-exception becomes a failing check, and checks that depend on valid cover
-data report `unsupported` when validation failed).
+frozen in the file.  Every number a handler reads from the file goes
+through `_int`, `_rat` or `_bool`, which raise `SpecError` naming the field.
+`run_check` makes the harness decisions once for every handler; see there.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from . import cover as cover_mod
@@ -21,20 +22,69 @@ from .lattice import (DivisorClass, abstract_lattice, adjunction_genus, format_c
 from .report import FAIL, PASS, UNSUPPORTED, Check, equality_check
 
 
-def _rat(x) -> Fraction:
-    return Fraction(str(x))
+class SpecError(Exception):
+    """Schema or semantic error in a workbench file (exit code 2)."""
 
 
-def resolve_class(lattice, class_map) -> DivisorClass:
-    return lattice.divisor({k: _rat(v) for k, v in class_map.items()})
+# ---------------------------------------------------------------------------
+# readers for the values of a workbench file
+
+
+def _rat(value, where: str) -> Fraction:
+    # bool is an int subclass, but a JSON true is no coefficient
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SpecError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
+
+
+def _int(value, where: str) -> int:
+    # int() would truncate 2.5 to 2 and read a JSON true as 1
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise SpecError(f"{where}: expected an integer, got {value!r}")
+
+
+def _ints(values, where: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise SpecError(f"{where}: expected a list of integers, got {values!r}")
+    return tuple(_int(x, where) for x in values)
+
+
+def _bool(value, where: str) -> bool:
+    # bool() would read the string "false" as True
+    if isinstance(value, bool):
+        return value
+    raise SpecError(f"{where}: expected true or false, got {value!r}")
+
+
+def _class_items(mapping, symbols, where: str):
+    if not isinstance(mapping, dict):
+        raise SpecError(f"{where}: expected a symbol->coefficient map")
+    items = []
+    for sym in sorted(mapping):
+        if sym not in symbols:
+            raise SpecError(f"{where}: unknown basis symbol {sym!r}")
+        items.append((sym, _rat(mapping[sym], f"{where}.{sym}")))
+    return tuple(items)
+
+
+def resolve_class(lattice, class_map, where: str) -> DivisorClass:
+    return lattice.divisor(dict(_class_items(class_map, lattice.names, where)))
 
 
 def _class_set(records):
     return sorted(format_class(r.cls) for r in records)
 
 
-def _expected_class_set(surface, maps):
-    return sorted(format_class(resolve_class(surface.lattice, m)) for m in maps)
+def _expected_class_set(surface, maps, where: str):
+    return sorted(format_class(resolve_class(surface.lattice, m, where)) for m in maps)
+
+
+def _abstract_lattice(p):
+    return abstract_lattice(p["basis"], [[_rat(x, "gram") for x in row] for row in p["gram"]])
 
 
 # ---------------------------------------------------------------------------
@@ -43,60 +93,60 @@ def _expected_class_set(surface, maps):
 
 def check_intersect(wb, p) -> list[Check]:
     s = wb.surface(p["surface"])
-    lhs = resolve_class(s.lattice, p["lhs"])
-    rhs = resolve_class(s.lattice, p["rhs"])
-    return [equality_check(p["name"], lhs.dot(rhs), _rat(p["expected"]), tag=p.get("tag", ""))]
+    lhs = resolve_class(s.lattice, p["lhs"], "lhs")
+    rhs = resolve_class(s.lattice, p["rhs"], "rhs")
+    return [equality_check(p["name"], lhs.dot(rhs), _rat(p["expected"], "expected"))]
 
 
 def check_abstract_self_intersection(wb, p) -> list[Check]:
-    lat = abstract_lattice(p["basis"], [[_rat(x) for x in row] for row in p["gram"]])
-    cls = resolve_class(lat, p["class"])
-    value = cls.dot(cls) / _rat(p.get("divide", 1))
-    return [equality_check(p["name"], value, _rat(p["expected"]), tag=p.get("tag", ""))]
+    lat = _abstract_lattice(p)
+    cls = resolve_class(lat, p["class"], "class")
+    value = cls.dot(cls) / _rat(p.get("divide", 1), "divide")
+    return [equality_check(p["name"], value, _rat(p["expected"], "expected"))]
 
 
 def check_abstract_adjunction_genus(wb, p) -> list[Check]:
-    lat = abstract_lattice(p["basis"], [[_rat(x) for x in row] for row in p["gram"]])
-    cls = resolve_class(lat, p["class"])
-    k = resolve_class(lat, p["k_class"])
-    return [equality_check(p["name"], adjunction_genus(cls, k), _rat(p["expected"]),
-                           tag=p.get("tag", ""))]
+    lat = _abstract_lattice(p)
+    cls = resolve_class(lat, p["class"], "class")
+    k = resolve_class(lat, p["k_class"], "k_class")
+    return [equality_check(p["name"], adjunction_genus(cls, k), _rat(p["expected"], "expected"))]
 
 
 def check_gram_det(wb, p) -> list[Check]:
-    det = gram_det([[_rat(x) for x in row] for row in p["matrix"]])
-    return [equality_check(p["name"], det, _rat(p["expected"]), tag=p.get("tag", ""))]
+    det = gram_det([[_rat(x, "matrix") for x in row] for row in p["matrix"]])
+    return [equality_check(p["name"], det, _rat(p["expected"], "expected"))]
 
 
 def check_blowup_basis_det(wb, p) -> list[Check]:
     s = wb.surface(p["surface"])
     classes = [s.lattice.divisor({name: 1}) for name in s.lattice.names]
     expected = Fraction((-1) ** len(s.lattice.exceptional_names))
-    return [equality_check(p["name"], gram_det(classes), expected, tag=p.get("tag", ""))]
+    return [equality_check(p["name"], gram_det(classes), expected)]
 
 
 def check_adjunction_genus(wb, p) -> list[Check]:
     s = wb.surface(p["surface"])
-    cls = resolve_class(s.lattice, p["class"])
+    cls = resolve_class(s.lattice, p["class"], "class")
     return [equality_check(p["name"], adjunction_genus(cls, s.canonical),
-                           _rat(p["expected"]), tag=p.get("tag", ""))]
+                           _rat(p["expected"], "expected"))]
 
 
 def check_solve_divide(wb, p) -> list[Check]:
     s = wb.surface(p["surface"])
-    cls = resolve_class(s.lattice, p["class"])
-    got = solve_divide(cls, int(p["n"]))
-    expected = resolve_class(s.lattice, p["expected_class"])
-    return [equality_check(p["name"], format_class(got), format_class(expected), tag=p.get("tag", ""))]
+    cls = resolve_class(s.lattice, p["class"], "class")
+    got = solve_divide(cls, _int(p["n"], "n"))
+    expected = resolve_class(s.lattice, p["expected_class"], "expected_class")
+    return [equality_check(p["name"], format_class(got), format_class(expected))]
 
 
 def check_hodge_bound(wb, p) -> list[Check]:
+    k2, kd = _rat(p["k2"], "k2"), _rat(p["kd"], "kd")
     if "d2" in p:
-        verdict = hodge_index_bound(_rat(p["k2"]), _rat(p["kd"]), _rat(p["d2"]))
-        return [equality_check(p["name"], verdict, bool(p["expected"]), tag=p.get("tag", ""))]
-    bound = hodge_index_bound(_rat(p["k2"]), _rat(p["kd"]))
+        verdict = hodge_index_bound(k2, kd, _rat(p["d2"], "d2"))
+        return [equality_check(p["name"], verdict, _bool(p["expected"], "expected"))]
+    bound = hodge_index_bound(k2, kd)
     floor = bound.numerator // bound.denominator
-    return [equality_check(p["name"], floor, int(p["expected"]), tag=p.get("tag", ""))]
+    return [equality_check(p["name"], floor, _int(p["expected"], "expected"))]
 
 
 # ---------------------------------------------------------------------------
@@ -107,41 +157,39 @@ def check_collinear_sets(wb, p) -> list[Check]:
     s = wb.surface(p["surface"])
     got = sorted(sorted(group) for group in s.collinear_sets)
     expected = sorted(sorted(group) for group in p["expected"])
-    return [equality_check(p["name"], got, expected, tag=p.get("tag", ""))]
+    return [equality_check(p["name"], got, expected)]
 
 
 def check_minus_two_catalog(wb, p) -> list[Check]:
     s = wb.surface(p["surface"])
-    got = _class_set(surface_mod.minus_two_curves(s))
-    return [equality_check(p["name"], got, _expected_class_set(s, p["expected_classes"]),
-                           tag=p.get("tag", ""))]
+    expected = _expected_class_set(s, p["expected_classes"], "expected_classes")
+    return [equality_check(p["name"], _class_set(surface_mod.minus_two_curves(s)), expected)]
 
 
 def check_isolated_minus_one(wb, p) -> list[Check]:
     s = wb.surface(p["surface"])
-    got = _class_set(surface_mod.isolated_minus_one_curves(s))
-    return [equality_check(p["name"], got, _expected_class_set(s, p["expected_classes"]),
-                           tag=p.get("tag", ""))]
+    expected = _expected_class_set(s, p["expected_classes"], "expected_classes")
+    return [equality_check(p["name"], _class_set(surface_mod.isolated_minus_one_curves(s)),
+                           expected)]
 
 
 def check_catalog_counts(wb, p) -> list[Check]:
     s = wb.surface(p["surface"])
+    expected = (_int(p["expected_minus_one"], "expected_minus_one"),
+                _int(p["expected_minus_two"], "expected_minus_two"))
     got = (len(surface_mod.minus_one_curves(s)), len(surface_mod.minus_two_curves(s)))
-    expected = (int(p["expected_minus_one"]), int(p["expected_minus_two"]))
-    return [equality_check(p["name"], got, expected, tag=p.get("tag", ""))]
+    return [equality_check(p["name"], got, expected)]
 
 
 def check_pencils_include(wb, p) -> list[Check]:
     s = wb.surface(p["surface"])
+    classes = [resolve_class(s.lattice, m, "classes") for m in p["classes"]]
     found = {pen.cls.coeffs for pen in surface_mod.find_pencils(s)}
-    missing = [
-        m for m in p["classes"]
-        if resolve_class(s.lattice, m).coeffs not in found
-    ]
+    missing = [m for m, cls in zip(p["classes"], classes) if cls.coeffs not in found]
     status = PASS if not missing else FAIL
     return [Check(p["name"], status,
                   computed="all present" if not missing else f"missing {missing}",
-                  expected="pencil classes present", tag=p.get("tag", ""))]
+                  expected="pencil classes present")]
 
 
 def _decomposition_key(parts):
@@ -150,40 +198,41 @@ def _decomposition_key(parts):
 
 def check_singular_members(wb, p) -> list[Check]:
     s = wb.surface(p["surface"])
-    pencil = surface_mod.Pencil(resolve_class(s.lattice, p["pencil"]))
-    got = sorted(_decomposition_key(d) for d in surface_mod.singular_members(s, pencil))
+    pencil = surface_mod.Pencil(resolve_class(s.lattice, p["pencil"], "pencil"))
     expected = sorted(
-        tuple(sorted((format_class(resolve_class(s.lattice, part["class"])), int(part["multiplicity"]))
+        tuple(sorted((format_class(resolve_class(s.lattice, part["class"], "expected.class")),
+                      _int(part["multiplicity"], "expected.multiplicity"))
                      for part in decomp))
         for decomp in p["expected"]
     )
-    return [equality_check(p["name"], got, expected, tag=p.get("tag", ""))]
+    got = sorted(_decomposition_key(d) for d in surface_mod.singular_members(s, pencil))
+    return [equality_check(p["name"], got, expected)]
 
 
 def check_contract(wb, p) -> list[Check]:
     s = wb.surface(p["surface"])
+    classes = [resolve_class(s.lattice, m, "classes") for m in p["classes"]]
+    expected = (_int(p["expected_nodes"], "expected_nodes"),
+                str(_rat(p["expected_k2_after"], "expected_k2_after")))
     by_class = s.catalog_by_class()
     recs = []
-    for m in p["classes"]:
-        cls = resolve_class(s.lattice, m)
+    for cls in classes:
         rec = by_class.get(cls.coeffs)
         if rec is None:
             return [Check(p["name"], FAIL, f"{format_class(cls)} not in catalog",
-                          "catalogued curve", tag=p.get("tag", ""))]
+                          "catalogued curve")]
         recs.append(rec)
     record = surface_mod.contract(s, recs)
     got = (record.nodes, str(record.k2_after))
-    expected = (int(p["expected_nodes"]), str(_rat(p["expected_k2_after"])))
-    checks = [equality_check(p["name"], got, expected, tag=p.get("tag", ""))]
+    checks = [equality_check(p["name"], got, expected)]
     if "expected_disjoint_remainder" in p:
+        remainder = _expected_class_set(s, p["expected_disjoint_remainder"],
+                                        "expected_disjoint_remainder")
         contracted = {r.cls.coeffs for r in recs}
         rest = [r for r in surface_mod.minus_two_curves(s) if r.cls.coeffs not in contracted]
         ok = all(r.cls.dot(c.cls) == 0 for r in rest for c in recs)
         names = sorted(format_class(r.cls) for r in rest)
-        checks.append(equality_check(
-            f"{p['name']}/remainder", (names, ok),
-            (_expected_class_set(s, p["expected_disjoint_remainder"]), True),
-            tag=p.get("tag", "")))
+        checks.append(equality_check(f"{p['name']}/remainder", (names, ok), (remainder, True)))
     return checks
 
 
@@ -191,58 +240,47 @@ def check_contract(wb, p) -> list[Check]:
 # handlers: cover suite
 
 
-def _unsupported(p, reason) -> list[Check]:
-    return [Check(p["name"], UNSUPPORTED, reason, "valid cover data", tag=p.get("tag", ""))]
-
-
 def check_cover_relations(wb, p) -> list[Check]:
-    return [Check(c.name, c.status, c.computed, c.expected,
-                  tag=p.get("tag", c.tag)) for c in wb.validation(p["cover"])]
+    return list(wb.validation(p["cover"]))
 
 
 def check_relation_sum(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
-    chi = tuple(p["character"])
+    chi = _ints(p["character"], "character")
+    expected = resolve_class(spec.base.lattice, p["expected_class"], "expected_class")
     m = spec.group.element_order(chi)
     rhs = cover_mod.relation_rhs(spec, chi)
-    expected = resolve_class(spec.base.lattice, p["expected_class"])
-    out = [equality_check(f"{p['name']}/sum", format_class(rhs), format_class(expected),
-                          tag=p.get("tag", ""))]
+    out = [equality_check(f"{p['name']}/sum", format_class(rhs), format_class(expected))]
     given = dict(spec.reduced_l)
     if chi in given:
         out.append(equality_check(f"{p['name']}/equals-{m}L", format_class(m * given[chi]),
-                                  format_class(expected), tag=p.get("tag", "")))
+                                  format_class(expected)))
     return out
 
 
 def check_derived_class(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
-    if not wb.cover_valid(p["cover"]):
-        return _unsupported(p, "cover data failed validation")
     derived = spec.all_l
-    chi = spec.group.reduce(tuple(p["character"]))
+    chi = spec.group.reduce(_ints(p["character"], "character"))
     got = derived[chi]
     checks = []
     if "expected_class" in p:
-        expected = resolve_class(spec.base.lattice, p["expected_class"])
-        checks.append(equality_check(p["name"], format_class(got), format_class(expected),
-                                     tag=p.get("tag", "")))
+        expected = resolve_class(spec.base.lattice, p["expected_class"], "expected_class")
+        checks.append(equality_check(p["name"], format_class(got), format_class(expected)))
     if "minuend" in p:
-        base_chi = spec.group.reduce(tuple(p["minuend"]["character"]))
-        mult = int(p["minuend"]["multiple"])
+        base_chi = spec.group.reduce(_ints(p["minuend"]["character"], "minuend.character"))
+        mult = _int(p["minuend"]["multiple"], "minuend.multiple")
         combo = mult * derived[base_chi]
         by_name = spec.branch_by_name()
         for name in p["subtract_components"]:
             combo = combo - by_name[name].curve
         checks.append(equality_check(f"{p['name']}/combination", format_class(got),
-                                     format_class(combo), tag=p.get("tag", "")))
+                                     format_class(combo)))
     return checks
 
 
 def check_solve_matches_derived(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
-    if not wb.cover_valid(p["cover"]):
-        return _unsupported(p, "cover data failed validation")
     solution = solve_linear(cover_mod.building_data_relations(spec))
     derived = spec.all_l
     ok = solution.degrees_of_freedom == 0
@@ -257,50 +295,47 @@ def check_solve_matches_derived(wb, p) -> list[Check]:
     return [Check(p["name"], PASS if ok else FAIL,
                   computed=("unique solution matching the derived sheaves" if ok
                             else f"dof={solution.degrees_of_freedom}, mismatches={mismatches}"),
-                  expected="solver agrees with the pair-rule derivation",
-                  tag=p.get("tag", ""))]
+                  expected="solver agrees with the pair-rule derivation")]
 
 
 def check_branch_points(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
-    if not wb.cover_valid(p["cover"]):
-        return _unsupported(p, "cover data failed validation")
+    expected_nodes = sorted(
+        (tuple(sorted(n["pair"])), _int(n["points"], "expected_nodes.points"),
+         _int(n["preimages"], "expected_nodes.preimages"),
+         _int(n["inertia_order"], "expected_nodes.inertia_order"))
+        for n in p["expected_nodes"]
+    )
+    expected_total = _int(p["expected_total_nodes"], "expected_total_nodes")
     analyses = spec.branch_points
     nodes = sorted(
         (tuple(sorted(a.location)), a.crossing_points, a.preimage_count, a.inertia_order)
         for a in analyses if a.verdict == cover_mod.VERDICT_NODE_A1
     )
-    expected_nodes = sorted(
-        (tuple(sorted(n["pair"])), int(n["points"]), int(n["preimages"]), int(n["inertia_order"]))
-        for n in p["expected_nodes"]
-    )
     others_smooth = all(
         a.verdict == cover_mod.VERDICT_SMOOTH
         for a in analyses if a.verdict != cover_mod.VERDICT_NODE_A1
     )
-    checks = [
-        equality_check(f"{p['name']}/nodes", nodes, expected_nodes, tag=p.get("tag", "")),
-        equality_check(f"{p['name']}/others-smooth", others_smooth, True, tag=p.get("tag", "")),
-        equality_check(f"{p['name']}/total-nodes", cover_mod.node_count(spec),
-                       int(p["expected_total_nodes"]), tag=p.get("tag", "")),
+    return [
+        equality_check(f"{p['name']}/nodes", nodes, expected_nodes),
+        equality_check(f"{p['name']}/others-smooth", others_smooth, True),
+        equality_check(f"{p['name']}/total-nodes", cover_mod.node_count(spec), expected_total),
     ]
-    return checks
 
 
 def check_pullback(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
+    e = p["expected"]
+    expected = (_int(e["e"], "expected.e"), _int(e["n"], "expected.n"),
+                _int(e["d"], "expected.d"), str(_rat(e["s"], "expected.s")))
     comp = spec.branch_by_name()[p["component"]]
     pb = cover_mod.pullback(spec, comp)
     got = (pb.ramification_multiplicity, pb.components, pb.map_degree, str(pb.self_intersection))
-    e = p["expected"]
-    expected = (int(e["e"]), int(e["n"]), int(e["d"]), str(_rat(e["s"])))
-    return [equality_check(p["name"], got, expected, tag=p.get("tag", ""))]
+    return [equality_check(p["name"], got, expected)]
 
 
 def check_preimage_consistency(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
-    if not wb.cover_valid(p["cover"]):
-        return _unsupported(p, "cover data failed validation")
     names = p.get("components")
     comps = spec.branch if names in (None, "all") else [spec.branch_by_name()[n] for n in names]
     out = []
@@ -313,76 +348,62 @@ def check_preimage_consistency(wb, p) -> list[Check]:
             PASS if rep.ok else FAIL,
             computed=f"d={rep.map_degree}, r={rep.ramification}, genus={rep.hurwitz_genus} ({rep.reason})",
             expected="asserted component count is arithmetically consistent",
-            tag=p.get("tag", ""),
         ))
     return out
 
 
 def check_canonical_cover(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
-    if not wb.cover_valid(p["cover"]):
-        return _unsupported(p, "cover data failed validation")
-    cls, k2 = cover_mod.canonical_cover(spec, int(p["n"]))
-    checks = [equality_check(f"{p['name']}/k2", k2, _rat(p["expected_k2"]), tag=p.get("tag", ""))]
+    expected_k2 = _rat(p["expected_k2"], "expected_k2")
+    cls, k2 = cover_mod.canonical_cover(spec, _int(p["n"], "n"))
+    checks = [equality_check(f"{p['name']}/k2", k2, expected_k2)]
     if "expected_class" in p:
-        expected = resolve_class(spec.base.lattice, p["expected_class"])
+        expected = resolve_class(spec.base.lattice, p["expected_class"], "expected_class")
         checks.append(equality_check(f"{p['name']}/class", format_class(cls),
-                                     format_class(expected), tag=p.get("tag", "")))
+                                     format_class(expected)))
     return checks
 
 
 def check_invariants(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
-    if not wb.cover_valid(p["cover"]):
-        return _unsupported(p, "cover data failed validation")
-    inv = cover_mod.invariants(spec)
     e = p["expected"]
+    expected = {"chi": _int(e["chi"], "expected.chi"), "p_g": _int(e["p_g"], "expected.p_g"),
+                "q": _int(e["q"], "expected.q")}
+    inv = cover_mod.invariants(spec)
     got = {"chi": inv.chi, "p_g": inv.p_g, "q": inv.q}
-    expected = {"chi": int(e["chi"]), "p_g": int(e["p_g"]), "q": int(e["q"])}
     if "k2_cover" in e:
         got["k2_cover"] = str(inv.k2_cover)
-        expected["k2_cover"] = str(_rat(e["k2_cover"]))
-    return [equality_check(p["name"], got, expected, tag=p.get("tag", ""))]
+        expected["k2_cover"] = str(_rat(e["k2_cover"], "expected.k2_cover"))
+    return [equality_check(p["name"], got, expected)]
 
 
 def check_h0_vanishing(wb, p) -> list[Check]:
-    spec = wb.cover(p["cover"])
-    if not wb.cover_valid(p["cover"]):
-        return _unsupported(p, "cover data failed validation")
-    checks = cover_mod.h0_vanishing_checks(spec)
-    return [Check(c.name, c.status, c.computed, c.expected, tag=p.get("tag", ""))
-            for c in checks]
+    return cover_mod.h0_vanishing_checks(wb.cover(p["cover"]))
 
 
 def check_quotient_cover(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
-    if not wb.cover_valid(p["cover"]):
-        return _unsupported(p, "cover data failed validation")
-    quotient = cover_mod.quotient_cover(spec, tuple(p["character"]))
+    expected_k2 = _rat(p["expected_k2"], "expected_k2")
+    quotient = cover_mod.quotient_cover(spec, _ints(p["character"], "character"))
     got_branch = sorted(c.name for c in quotient.branch)
-    checks = [equality_check(f"{p['name']}/branch", got_branch, sorted(p["expected_branch"]),
-                             tag=p.get("tag", ""))]
     _cls, k2 = cover_mod.canonical_cover(quotient, 2)
-    checks.append(equality_check(f"{p['name']}/k2", k2, _rat(p["expected_k2"]),
-                                 tag=p.get("tag", "")))
-    return checks
+    return [equality_check(f"{p['name']}/branch", got_branch, sorted(p["expected_branch"])),
+            equality_check(f"{p['name']}/k2", k2, expected_k2)]
 
 
 def check_minimal_model(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
-    if not wb.cover_valid(p["cover"]):
-        return _unsupported(p, "cover data failed validation")
+    expected_k2 = _rat(p["expected_k2"], "expected_k2")
+    expect_ample = _bool(p.get("expect_ample", False), "expect_ample")
     plan = cover_mod.ContractionPlan(
-        simple=int(p["simple"]),
-        node_threading=int(p["node_threading"]),
+        simple=_int(p["simple"], "simple"),
+        node_threading=_int(p["node_threading"], "node_threading"),
         contracted_base=tuple(p["contract"]),
     )
     inv = cover_mod.minimal_model(spec, plan)
-    checks = [equality_check(f"{p['name']}/k2", inv.k2_minimal, _rat(p["expected_k2"]),
-                             tag=p.get("tag", ""))]
-    if p.get("expect_ample", False):
-        checks.append(equality_check(f"{p['name']}/ample-proxy", inv.ample_proxy, True,
-                                     tag=p.get("tag", "")))
+    checks = [equality_check(f"{p['name']}/k2", inv.k2_minimal, expected_k2)]
+    if expect_ample:
+        checks.append(equality_check(f"{p['name']}/ample-proxy", inv.ample_proxy, True))
     return checks
 
 
@@ -391,84 +412,85 @@ def check_minimal_model(wb, p) -> list[Check]:
 
 
 def check_involution_counts(wb, p) -> list[Check]:
-    got = lef.involution_counts(int(p["kr"]), int(p["r2"]))
-    expected = tuple(int(x) for x in p["expected"])
-    return [equality_check(p["name"], got, expected, tag=p.get("tag", ""))]
+    got = lef.involution_counts(_int(p["kr"], "kr"), _int(p["r2"], "r2"))
+    return [equality_check(p["name"], got, _ints(p["expected"], "expected"))]
 
 
 def check_order3_counts(wb, p) -> list[Check]:
-    got = lef.order3_counts(int(p["kr"]), int(p["r2"]), int(p["tr"]))
-    expected = p["expected"]
-    expected = None if expected is None else tuple(int(x) for x in expected)
-    return [equality_check(p["name"], got, expected, tag=p.get("tag", ""))]
+    got = lef.order3_counts(_int(p["kr"], "kr"), _int(p["r2"], "r2"), _int(p["tr"], "tr"))
+    expected = None if p["expected"] is None else _ints(p["expected"], "expected")
+    return [equality_check(p["name"], got, expected)]
 
 
 def check_range_filter(wb, p) -> list[Check]:
     got = lef.involution_range_filter(
-        int(p["k2"]),
-        r2=int(p["r2"]) if "r2" in p else None,
-        exclude=tuple(p.get("exclude", ())),
+        _int(p["k2"], "k2"),
+        r2=_int(p["r2"], "r2") if "r2" in p else None,
+        exclude=_ints(p.get("exclude", []), "exclude"),
     )
-    return [equality_check(p["name"], got, [int(x) for x in p["expected"]], tag=p.get("tag", ""))]
+    return [equality_check(p["name"], got, list(_ints(p["expected"], "expected")))]
 
 
 def check_diophantine(wb, p) -> list[Check]:
     box = None
     if "box" in p:
-        box = {k: range(v[0], v[1] + 1) if isinstance(v, list) else tuple(v)
-               for k, v in p["box"].items()}
-    target = tuple(p["target"]) if "target" in p else (0,)
+        box = {k: range(_int(lo, f"box.{k}"), _int(hi, f"box.{k}") + 1)
+               for k, (lo, hi) in p["box"].items()}
+    target = _ints(p["target"], "target") if "target" in p else None
+    expected = sorted(_ints(sol, "expected") for sol in p["expected"])
     got = lef.diophantine_enumerate(p["constraint"], box=box, target=target)
-    expected = sorted(tuple(int(x) for x in sol) for sol in p["expected"])
-    return [equality_check(p["name"], sorted(got), expected, tag=p.get("tag", ""))]
+    return [equality_check(p["name"], sorted(got), expected)]
 
 
 def check_det_identity(wb, p) -> list[Check]:
-    """Pointwise agreement of the 3x3 intersection determinant with its
-    closed form -14 + 2a^2 - 7b^2, and emptiness of the admissible locus."""
+    """Pointwise agreement of the 3x3 intersection determinant with the
+    closed form that the "ample-obstruction-det" enumeration solves, and
+    emptiness of the admissible locus."""
+    closed_form = lef.NAMED_CONSTRAINTS["ample-obstruction-det"][1]
+    a_values = range(_int(p["a_min"], "a_min"), _int(p["a_max"], "a_max") + 1)
+    b_values = range(_int(p["b_min"], "b_min"), _int(p["b_max"], "b_max") + 1)
     mismatches = []
-    for a in range(int(p["a_min"]), int(p["a_max"]) + 1):
-        for b in range(int(p["b_min"]), int(p["b_max"]) + 1):
-            det = gram_det([[7, a, 0], [a, 1, b], [0, b, -2]])
-            if det != -14 + 2 * a * a - 7 * b * b:
+    for a in a_values:
+        for b in b_values:
+            if gram_det([[7, a, 0], [a, 1, b], [0, b, -2]]) != closed_form(a, b):
                 mismatches.append((a, b))
-    checks = [equality_check(f"{p['name']}/closed-form", mismatches, [], tag=p.get("tag", ""))]
+    checks = [equality_check(f"{p['name']}/closed-form", mismatches, [])]
     admissible = lef.involution_range_filter(7, r2=1)
     solutions = [
         (a, b)
         for (a, b) in lef.diophantine_enumerate("ample-obstruction-det")
         if a in admissible
     ]
-    checks.append(equality_check(f"{p['name']}/no-admissible-zero", solutions, [],
-                                 tag=p.get("tag", "")))
+    checks.append(equality_check(f"{p['name']}/no-admissible-zero", solutions, []))
     return checks
 
 
 def check_theorem11(wb, p) -> list[Check]:
-    checks = lef.theorem11_consistency(p["case"])
-    return [Check(f"{p['name']}/{c.name}", c.status, c.computed, c.expected,
-                  tag=p.get("tag", c.tag)) for c in checks]
+    return [replace(c, name=f"{p['name']}/{c.name}")
+            for c in lef.theorem11_consistency(p["case"])]
 
 
 def check_subgroups(wb, p) -> list[Check]:
-    group = groups_mod.FiniteAbelianGroup(tuple(p["orders"]))
-    subs = groups_mod.subgroups_of_order(group, int(p["n"]),
-                                         elementary_only=bool(p.get("elementary_only", False)))
-    return [equality_check(p["name"], len(subs), int(p["expected_count"]), tag=p.get("tag", ""))]
+    group = groups_mod.FiniteAbelianGroup(_ints(p["orders"], "orders"))
+    elementary_only = _bool(p.get("elementary_only", False), "elementary_only")
+    subs = groups_mod.subgroups_of_order(group, _int(p["n"], "n"),
+                                         elementary_only=elementary_only)
+    return [equality_check(p["name"], len(subs), _int(p["expected_count"], "expected_count"))]
 
 
 def check_common_involution(wb, p) -> list[Check]:
-    group = groups_mod.FiniteAbelianGroup(tuple(p["orders"]))
-    subs = groups_mod.subgroups_of_order(group, int(p["n"]))
+    group = groups_mod.FiniteAbelianGroup(_ints(p["orders"], "orders"))
+    subs = groups_mod.subgroups_of_order(group, _int(p["n"], "n"))
     got = groups_mod.pairwise_common_involution(group, subs)
-    return [equality_check(p["name"], got, bool(p["expected"]), tag=p.get("tag", ""))]
+    return [equality_check(p["name"], got, _bool(p["expected"], "expected"))]
 
 
 def check_restriction_level(wb, p) -> list[Check]:
-    group = groups_mod.FiniteAbelianGroup(tuple(p["orders"]))
-    pair = groups_mod.CyclicPair(group, tuple(p["generator"]), int(p["exponent"]))
-    got = groups_mod.restriction_level(pair, tuple(p["character"]))
-    return [equality_check(p["name"], got, int(p["expected"]), tag=p.get("tag", ""))]
+    group = groups_mod.FiniteAbelianGroup(_ints(p["orders"], "orders"))
+    pair = groups_mod.CyclicPair(group, _ints(p["generator"], "generator"),
+                                 _int(p["exponent"], "exponent"))
+    got = groups_mod.restriction_level(pair, _ints(p["character"], "character"))
+    return [equality_check(p["name"], got, _int(p["expected"], "expected"))]
 
 
 HANDLERS = {
@@ -510,18 +532,37 @@ HANDLERS = {
     "restriction_level": check_restriction_level,
 }
 
+# kinds whose handler reads derived cover data, which means nothing when
+# the file's cover data failed validation
+NEEDS_VALID_COVER = frozenset({
+    "derived_class", "solve_matches_derived", "branch_points", "preimage_consistency",
+    "canonical_cover", "invariants", "h0_vanishing", "quotient_cover", "minimal_model",
+})
+
 
 def run_check(wb, params: dict) -> list[Check]:
-    kind = params.get("kind")
-    handler = HANDLERS.get(kind)
-    if handler is None:
-        return [Check(params.get("name", "?"), FAIL, f"unknown check kind {kind!r}",
-                      "known check kind", tag=params.get("tag", ""))]
+    """The checks of one file entry, with the harness decisions made here
+    once for every handler: an unknown kind fails; a kind in
+    NEEDS_VALID_COVER reports `unsupported` when its cover failed
+    validation; a SpecError is raised again naming the check; any other
+    exception becomes a failing check; and the entry's `tag`, when it has
+    one, replaces the tags of all its checks."""
+    name, kind = params.get("name", "?"), params.get("kind")
     try:
-        return handler(wb, params)
+        if kind not in HANDLERS:
+            checks = [Check(name, FAIL, f"unknown check kind {kind!r}", "known check kind")]
+        elif kind in NEEDS_VALID_COVER and not wb.cover_valid(params["cover"]):
+            checks = [Check(name, UNSUPPORTED, "cover data failed validation",
+                            "valid cover data")]
+        else:
+            checks = HANDLERS[kind](wb, params)
+    except SpecError as exc:
+        raise SpecError(f"check {name}: {exc}") from None
     except Exception as exc:  # a check must never crash the harness
-        return [Check(params["name"], FAIL, f"{type(exc).__name__}: {exc}",
-                      "check evaluates cleanly", tag=params.get("tag", ""))]
+        checks = [Check(name, FAIL, f"{type(exc).__name__}: {exc}", "check evaluates cleanly")]
+    if "tag" in params:
+        checks = [replace(c, tag=params["tag"]) for c in checks]
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,7 @@ def _cmd_h0(args) -> int:
         mapping = json.loads(args.class_json)
     except json.JSONDecodeError as exc:
         raise SpecError(f"class argument is not valid JSON: {exc.msg}")
-    try:
-        cls = resolve_class(surface.lattice, mapping)
-    except KeyError as exc:
-        raise SpecError(f"class argument: {exc.args[0]}")
+    cls = resolve_class(surface.lattice, mapping, "class argument")
     sys.stdout.write(f"{surface.h0(cls)}\n")
     if args.audit:
         from .oracle import realization_to_json

@@ -535,7 +535,6 @@ def h0_vanishing_checks(spec: CoverSpec) -> list[Check]:
             status="pass" if h0 == 0 else "fail",
             computed=f"h0({format_class(cls)}) = {h0}",
             expected="0",
-            tag="cover-invariants",
         ))
     return checks
 

@@ -2,14 +2,15 @@
 
 Dense matrices of two sizes: lattice systems stay below about 25x25, while
 the interpolation matrices behind h^0 grow with the degree (24x55 at degree
-9, 90x91 at degree 12).  Rational rows are scaled to integer rows by the lcm
-of their denominators.  Rank is eliminated mod the prime PRIME first: a
-minor that is nonzero mod p is nonzero over Z, so that rank is a lower bound
-over Q, and exact when it is full.  Only otherwise does fraction-free
-(Bareiss) elimination over Z decide.  PRIME is the largest prime below 2^30,
-so every residue is a single 30-bit CPython digit and each reduction divides
-by a single digit; a larger prime would make the elimination multi-digit
-arithmetic.  No floating point anywhere.
+9, 90x91 at degree 12).  For a determinant, rational rows are scaled to
+integer rows by the lcm of their denominators.  The rank of an integer
+matrix is eliminated mod the prime PRIME first: a minor that is nonzero mod
+p is nonzero over Z, so that rank is a lower bound over Q, and exact when it
+is full.  Only otherwise does fraction-free (Bareiss) elimination over Z
+decide.  PRIME is the largest prime below 2^30, so every residue is a single
+30-bit CPython digit and each reduction divides by a single digit; a larger
+prime would make the elimination multi-digit arithmetic.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -92,19 +93,16 @@ def det_bareiss(rows) -> Fraction:
     return Fraction(det, prod(d for _, d in scaled)) if r == n else Fraction(0)
 
 
-def rank(rows, exact=None) -> int:
-    """Rank over Q: mod PRIME when that rank is full, else by exact Bareiss.
+def rank(residues: list[list[int]], exact) -> int:
+    """Rank over Q of an integer matrix: mod PRIME when that rank is full,
+    else by exact Bareiss.
 
-    `rows` is the matrix, rational or integer.  A caller that has its
-    residues mod PRIME already passes those as `rows`, and as `exact` a
-    function returning the integer matrix they reduce; it is called only when
-    the rank mod PRIME is not full.
+    `residues` is the matrix reduced mod PRIME, and `exact` a function
+    returning the integer matrix itself, which is called only when the
+    rank mod PRIME is not full; the matrix it returns is overwritten.
     """
-    if exact is None:
-        a = [_integer_row(row)[0] for row in rows]
-        rows, exact = [[x % PRIME for x in row] for row in a], lambda: a
-    r = _rank_mod_p(rows)
-    if not rows or r == min(len(rows), len(rows[0])):
+    r = _rank_mod_p(residues)
+    if not residues or r == min(len(residues), len(residues[0])):
         return r
     return _bareiss(exact())[0]
 

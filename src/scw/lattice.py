@@ -212,11 +212,6 @@ def format_class(d: DivisorClass) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def intersect(d1: DivisorClass, d2: DivisorClass) -> Fraction:
-    """Intersection number of two classes on the same lattice."""
-    return d1.dot(d2)
-
-
 def gram_det(classes_or_rows) -> Fraction:
     """Exact determinant of an intersection-number matrix.
 
@@ -278,7 +273,7 @@ class LinearSolution:
     degrees_of_freedom: int
 
 
-def solve_linear(relations: Sequence[Relation], unknown_names: Sequence[str] | None = None) -> LinearSolution:
+def solve_linear(relations: Sequence[Relation]) -> LinearSolution:
     """Solve a system of linear-equivalence constraints for unknown classes.
 
     Works over the free lattice (no torsion): the integer system is reduced
@@ -296,14 +291,11 @@ def solve_linear(relations: Sequence[Relation], unknown_names: Sequence[str] | N
             raise LatticeMismatch("relation right-hand sides live on different lattices")
         if not rel.rhs.is_integral:
             raise ValueError("known classes must be integral")
-    if unknown_names is None:
-        seen: list[str] = []
-        for rel in relations:
-            for name, _ in rel.unknowns:
-                if name not in seen:
-                    seen.append(name)
-        unknown_names = seen
-    names = list(unknown_names)
+    names: list[str] = []
+    for rel in relations:
+        for name, _ in rel.unknowns:
+            if name not in names:
+                names.append(name)
     a = [[0] * len(names) for _ in relations]
     for r, rel in enumerate(relations):
         for name, coeff in rel.unknowns:
@@ -350,19 +342,14 @@ def solve_linear(relations: Sequence[Relation], unknown_names: Sequence[str] | N
     return LinearSolution(classes=classes, degrees_of_freedom=nu - rank)
 
 
-def hodge_index_bound(k2, kd=None, d2=None):
-    """Index-theorem bookkeeping for a class D against an ample-ish K.
+def hodge_index_bound(k2: Rat, kd: Rat, d2: Rat | None = None):
+    """Index-theorem bookkeeping for a class D against an ample-ish K,
+    from the numbers K^2, K.D and optionally D^2.
 
-    Accepts either numbers (K^2, K.D [, D^2]) or a pair of classes (K, D).
     With D^2 known: returns True iff the constraint (K.D)^2 >= K^2 * D^2
     holds (only binding when D^2 > 0).  Otherwise returns the exact
     rational upper bound (K.D)^2 / K^2 for D^2.
     """
-    if isinstance(k2, DivisorClass):
-        if not isinstance(kd, DivisorClass):
-            raise ValueError("expected the class D as the second argument")
-        k, d = k2, kd
-        return hodge_index_bound(k.dot(k), k.dot(d), d.dot(d))
     k2 = Fraction(k2)
     kd = Fraction(kd)
     if k2 <= 0:

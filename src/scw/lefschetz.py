@@ -111,23 +111,16 @@ NAMED_CONSTRAINTS = {
 }
 
 
-def diophantine_enumerate(constraint, box=None, target=(0,)) -> list[tuple[int, ...]]:
+def diophantine_enumerate(constraint: str, box=None, target=None) -> list[tuple[int, ...]]:
     """Exhaustive exact enumeration of integer solutions in a finite box.
 
-    `constraint` is either a name from NAMED_CONSTRAINTS (box/target then
-    default from the registry) or a callable; `box` maps variable names to
-    iterables, evaluated in sorted-name order.
+    `constraint` names an entry of NAMED_CONSTRAINTS; `box` (variable name
+    -> iterable of values) and `target` (the accepted values) default to
+    the registry's.
     """
-    if isinstance(constraint, str):
-        names, fn, default_box, default_target = NAMED_CONSTRAINTS[constraint]
-        box = default_box if box is None else box
-        target = default_target if target == (0,) else target
-    else:
-        fn = constraint
-        if box is None:
-            raise ValueError("a box is required for a callable constraint")
-        names = tuple(sorted(box))
-    target_set = set(target)
+    names, fn, default_box, default_target = NAMED_CONSTRAINTS[constraint]
+    box = default_box if box is None else box
+    target_set = set(default_target if target is None else target)
     values = [tuple(box[n]) for n in names]
     out = []
     for combo in itertools.product(*values):

@@ -341,16 +341,18 @@ def realization_to_json(realization: Realization) -> dict:
     }
 
 
+CONSENSUS_SEEDS = 3
+
+
 @dataclass(frozen=True)
 class SeedPolicy:
-    """Deterministic consensus policy: h^0 is evaluated at `count` seeds
-    derived from `base` and all values must agree."""
+    """Deterministic consensus policy: h^0 is evaluated at CONSENSUS_SEEDS
+    seeds derived from `base` and all values must agree."""
 
     base: int = 0
-    count: int = 3
 
     def seeds(self) -> tuple[int, ...]:
-        return tuple(self.base + i for i in range(self.count))
+        return tuple(self.base + i for i in range(CONSENSUS_SEEDS))
 
 
 def h0_consensus(values: dict[int, int]) -> int:

@@ -105,25 +105,23 @@ class BlowupSurface:
             )
         return self._realizations[seed]
 
-    def h0(self, d: DivisorClass, policy: SeedPolicy | None = None) -> int:
+    def h0(self, d: DivisorClass) -> int:
         """Consensus h^0 of an integral class (negative multiplicities are
         relaxed to no condition)."""
         if d.lattice != self.lattice:
             raise SurfaceError("class does not live on this surface")
         if not d.is_integral:
             raise SurfaceError("h^0 requires an integral class")
-        policy = policy or self.seed_policy
         vec = tuple(c.numerator for c in d.coeffs)
-        key = (vec, policy.seeds())
-        if key not in self._h0_cache:
+        if vec not in self._h0_cache:
             degree = vec[0]
             mults = {point: -m for (point, _symbol), m in zip(self.blowups, vec[1:])}
             values = {
                 seed: oracle.h0_from_realization(self.realization(seed), degree, mults)
-                for seed in policy.seeds()
+                for seed in self.seed_policy.seeds()
             }
-            self._h0_cache[key] = oracle.h0_consensus(values)
-        return self._h0_cache[key]
+            self._h0_cache[vec] = oracle.h0_consensus(values)
+        return self._h0_cache[vec]
 
     # -- catalog -----------------------------------------------------------
 
@@ -168,6 +166,24 @@ def _candidate_multiplicity_vectors(n_symbols: int, total: int, square_sum: int)
     yield from rec([], total, square_sum, max_m)
 
 
+def _distinct_permutations(shape):
+    """The distinct permutations of a sequence, in ascending order: each is
+    the next permutation of the one before, so none is built twice."""
+    perm = sorted(shape)
+    while True:
+        yield tuple(perm)
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = reversed(perm[i + 1:])
+
+
 def _candidates(surface: BlowupSurface, degree: int, self_int: int):
     """Classes d*L - sum(m_i E_i) of a smooth rational curve of the given
     degree and self-intersection (a pencil when self_int = 0), in
@@ -175,9 +191,9 @@ def _candidates(surface: BlowupSurface, degree: int, self_int: int):
     n = len(surface.lattice.exceptional_names)
     total = 3 * degree - 2 - self_int  # sum(m) = 3d + K.C, K.C = -2 - C^2
     square_sum = degree * degree - self_int
-    shapes = {tuple(vec) for vec in _candidate_multiplicity_vectors(n, total, square_sum)}
-    for shape in sorted(shapes, reverse=True):
-        for perm in sorted(set(itertools.permutations(shape))):
+    # the shapes come distinct and in descending order
+    for shape in _candidate_multiplicity_vectors(n, total, square_sum):
+        for perm in _distinct_permutations(shape):
             coeffs = (Fraction(degree),) + tuple(Fraction(-m) for m in perm)
             yield DivisorClass(surface.lattice, coeffs)
 

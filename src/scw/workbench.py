@@ -16,7 +16,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .checks import NAMED_CHECKS, run_check
+from .checks import NAMED_CHECKS, SpecError, _class_items, _int, _ints, run_check
 from .cover import BranchComponent, CoverSpec, validate_cover_data
 from .groups import CyclicPair, FiniteAbelianGroup
 from .oracle import FreeLine, FreePoint, IntersectionPoint, LineThrough, PointOnLine, SeedPolicy
@@ -33,10 +33,6 @@ _STEP_KINDS = {
     "point_on_line": (PointOnLine, 2),
     "intersection_point": (IntersectionPoint, 3),
 }
-
-
-class SpecError(Exception):
-    """Schema or semantic error in a workbench file (exit code 2)."""
 
 
 @dataclass(frozen=True)
@@ -75,34 +71,6 @@ class WorkbenchFile:
     surfaces: tuple[SurfaceDef, ...]
     covers: tuple[CoverDef, ...]
     checks: tuple[dict, ...]  # JSON objects, keys sorted at every level
-
-
-def _rat(value, where: str) -> Fraction:
-    # bool is an int subclass, but a JSON true is no coefficient
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise SpecError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
-
-
-def _int(value, where: str) -> int:
-    # int() would truncate 2.5 to 2 and read a JSON true as 1
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise SpecError(f"{where}: expected an integer, got {value!r}")
-
-
-def _class_items(mapping, symbols, where: str):
-    if not isinstance(mapping, dict):
-        raise SpecError(f"{where}: expected a symbol->coefficient map")
-    items = []
-    for sym in sorted(mapping):
-        if sym not in symbols:
-            raise SpecError(f"{where}: unknown basis symbol {sym!r}")
-        items.append((sym, _rat(mapping[sym], f"{where}.{sym}")))
-    return tuple(items)
 
 
 def _parse_script(raw, where: str):
@@ -151,11 +119,7 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
             surface_id = raw["surface"]
         except (KeyError, TypeError):
             raise SpecError(f"{w}: missing id or surface") from None
-        try:
-            group = tuple(_int(x, f"{w}.group") for x in raw["group"])
-        except (KeyError, TypeError):
-            raise SpecError(f"{w}.group: expected a list of integer orders, "
-                            f"got {raw.get('group')!r}") from None
+        group = _ints(raw.get("group"), f"{w}.group")
         if surface_id not in surface_symbols:
             raise SpecError(f"{w}: unknown surface {surface_id!r}")
         if cid in cover_ids:
@@ -170,8 +134,7 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
                 bdef = BranchDef(
                     name=b["name"],
                     cls=_class_items(b["class"], symbols, f"{bw}.class"),
-                    generator=tuple(_int(x, f"{bw}.subgroup_generator")
-                                    for x in b["subgroup_generator"]),
+                    generator=_ints(b["subgroup_generator"], f"{bw}.subgroup_generator"),
                     exponent=_int(b["character_exponent"], f"{bw}.character_exponent"),
                     components=_int(b["components"], f"{bw}.components"),
                 )
@@ -185,7 +148,7 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
         for j, entry in enumerate(raw.get("reduced_L", [])):
             rw = f"{w}.reduced_L[{j}]"
             try:
-                chi = tuple(_int(x, f"{rw}.character") for x in entry["character"])
+                chi = _ints(entry["character"], f"{rw}.character")
                 cls = _class_items(entry["class"], symbols, f"{rw}.class")
             except (KeyError, TypeError) as exc:
                 raise SpecError(f"{rw}: malformed entry ({exc})") from None

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scw.exactla as exactla
-from scw.exactla import PRIME, det_bareiss, rank
+from scw.exactla import PRIME, det_bareiss
 from scw.oracle import (FreePoint, Realization, _monomial_exponents, _multiplicity_rows,
                         _residue_rows, h0_from_realization, realize_configuration)
 
@@ -33,6 +33,12 @@ def reference_rank(rows) -> int:
         if r == len(m):
             break
     return r
+
+
+def rank(rows) -> int:
+    """exactla.rank of an integer matrix, called as h^0 calls it."""
+    return exactla.rank([[x % PRIME for x in row] for row in rows],
+                        lambda: [list(row) for row in rows])
 
 
 def reference_rank_mod_p(rows) -> int:
@@ -125,12 +131,6 @@ def test_rank_mod_p_matches_whole_row_elimination(rows):
 
 
 @PROPS
-@given(scaled_rows(lambda x, draw: Fraction(x, draw(st.integers(1, 50)))))
-def test_rank_of_rational_rows(rows):
-    assert rank(rows) == reference_rank(rows)
-
-
-@PROPS
 @given(st.integers(0, 6).flatmap(lambda n: st.lists(
     st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_det_bareiss_matches_reference(rows):
@@ -140,7 +140,7 @@ def test_det_bareiss_matches_reference(rows):
 def test_small_cases():
     assert rank([]) == 0
     assert rank([[0, 0], [0, 0]]) == 0
-    assert rank([[Fraction(1, 2), Fraction(1, 3)], [1, Fraction(2, 3)]]) == 1
+    assert rank([[3, 2], [6, 4]]) == 1
     assert det_bareiss([]) == 1
     assert det_bareiss([[Fraction(1, 2), Fraction(1, 3)], [1, 1]]) == Fraction(1, 6)
     with pytest.raises(ValueError):

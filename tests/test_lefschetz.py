@@ -78,11 +78,12 @@ def test_diophantine_matches_double_loop_oracle():
         assert got == brute, name
 
 
-def test_diophantine_callable():
-    got = diophantine_enumerate(lambda x, y: x * x + y * y,
-                                box={"x": range(-2, 3), "y": range(-2, 3)},
-                                target=(4,))
-    assert set(got) == {(-2, 0), (0, -2), (0, 2), (2, 0)}
+def test_diophantine_box_and_target_override_the_registry():
+    # -2a - 1 is odd, so no a meets the target 0; the registry's default
+    # target (-1, 1) must not stand in for it
+    assert diophantine_enumerate("pencil-part-det", target=(0,)) == []
+    assert diophantine_enumerate("pencil-part-det", target=(1, 5)) == [(-1,), (-3,)]
+    assert diophantine_enumerate("pencil-part-det", box={"a": range(-1, 2)}) == [(-1,), (0,)]
 
 
 def test_det_closed_form_over_box():

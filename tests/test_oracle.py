@@ -7,6 +7,7 @@ from scw.oracle import (FreeLine, FreePoint, IntersectionPoint, LineThrough,
                         PointOnLine, RealizationError, ScriptError, SeedPolicy,
                         check_script, collinear_sets, h0_from_realization,
                         realize_configuration)
+from scw.surface import BlowupSurface
 
 
 def test_figure_scripts_echo_incidences(surface_w, surface_y):
@@ -142,9 +143,11 @@ def test_h0_exceptional_and_minus_two(surface_w, surface_y):
 
 
 def test_h0_seed_independence(surface_y):
-    phi = surface_y.lattice.divisor({"L": 2, "Q": -1, "Q1": -1, "Q2": -1, "Q3": -1})
+    phi = {"L": 2, "Q": -1, "Q1": -1, "Q2": -1, "Q3": -1}
     for base in (0, 17, 400):
-        assert surface_y.h0(phi, SeedPolicy(base=base)) == 2
+        surface = BlowupSurface(surface_y.script, surface_y.blowups,
+                                seed_policy=SeedPolicy(base=base))
+        assert surface.h0(surface.lattice.divisor(phi)) == 2
 
 
 def test_h0_monotone_in_conditions(surface_w):

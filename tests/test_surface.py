@@ -5,6 +5,7 @@ import pytest
 from scw.lattice import LatticeMismatch
 from scw.oracle import FreePoint, LineThrough, PointOnLine
 from scw.surface import (KIND_MINUS_ONE, KIND_MINUS_TWO, Pencil, SurfaceError,
+                         _candidate_multiplicity_vectors, _candidates,
                          build_surface, contract, find_pencils,
                          isolated_minus_one_curves, minus_one_curves,
                          minus_two_curves, singular_members)
@@ -253,6 +254,28 @@ def test_singular_members_of_rational_or_foreign_classes(surface_w):
     other = build_surface([FreePoint("p")], [("p", "E1")])
     with pytest.raises(LatticeMismatch):
         singular_members(surface_w, Pencil(other.lattice.divisor({"L": 1, "E1": -1})))
+
+
+def reference_candidates(surface, degree, self_int):
+    """`_candidates` as it was written: every permutation of each shape,
+    deduplicated and sorted."""
+    n = len(surface.lattice.exceptional_names)
+    total = 3 * degree - 2 - self_int
+    square_sum = degree * degree - self_int
+    shapes = {tuple(vec) for vec in _candidate_multiplicity_vectors(n, total, square_sum)}
+    for shape in sorted(shapes, reverse=True):
+        for perm in sorted(set(itertools.permutations(shape))):
+            yield (degree,) + tuple(-m for m in perm)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_candidates_match_reference(n):
+    surface = build_surface([FreePoint(f"p{i}") for i in range(1, n + 1)],
+                            [(f"p{i}", f"E{i}") for i in range(1, n + 1)])
+    for degree in range(1, 5):
+        for self_int in (-2, -1, 0):
+            got = [c.coeffs for c in _candidates(surface, degree, self_int)]
+            assert got == list(reference_candidates(surface, degree, self_int))
 
 
 # Four collinear points a, b, c, d (E1..E4) and two free points e, f (E5, E6).

@@ -233,9 +233,66 @@ def test_mutated_class_fails_exactly_the_relation_checks():
         "inoue_z2z4/relation-c10",
         "z2z4/relation-sum-chi/equals-2L",
     ]
-    unsupported = {c.name for c in report.checks if c.status == "unsupported"}
-    assert "z2z4/invariants" in unsupported
+    unsupported = sorted(c.name for c in report.checks if c.status == "unsupported")
+    assert unsupported == [
+        "z2z4/branch-points", "z2z4/canonical", "z2z4/derived-rho2", "z2z4/h0-vanishing",
+        "z2z4/invariants", "z2z4/minimal-model", "z2z4/preimage-consistency",
+        "z2z4/quotient", "z2z4/solver-agrees",
+    ]
     assert not report.all_passed
+
+
+def test_untagged_checks_keep_their_inner_tags():
+    raw = json.loads((FIXTURES / "inoue_z2z4.json").read_text())
+    keep = {"z2z4/relations", "z2z4/h0-vanishing", "Y/catalog-counts"}
+    raw["checks"] = [{k: v for k, v in c.items() if k != "tag"}
+                     for c in raw["checks"] if c["name"] in keep]
+    raw["checks"].append({"name": "t11", "kind": "theorem11", "case": "a"})
+    tags = {}
+    for c in run_suite(parse_data(raw), seed=0).checks:
+        tags.setdefault(c.name.split("/")[1].split("-")[0], set()).add(c.tag)
+    assert tags == {
+        "catalog": {""},  # a plain check
+        "assumptions": {"cover-data"}, "effective": {"cover-data"}, "reduced": {"cover-data"},
+        "relation": {"cover-relations"},
+        "h0": {""},
+        "case": {"involution-range", "fixed-point-count", "trace", "adjunction-parity",
+                 "effective-pairing", "picard-rank"},
+    }
+
+
+def _bidouble_with(name, **params):
+    raw = json.loads((FIXTURES / "inoue_bidouble.json").read_text())
+    for c in raw["checks"]:
+        if c["name"] == name:
+            c.update(params)
+    return raw
+
+
+def _one_check_file(**check):
+    return {"version": 1, "checks": [{"name": "x", **check}]}
+
+
+@pytest.mark.parametrize("data, name, field", [
+    (_bidouble_with("W/catalog-counts", expected_minus_two=4.9),
+     "W/catalog-counts", "expected_minus_two"),
+    (_bidouble_with("W/halve-Delta2+Delta3", n=2.5), "W/halve-Delta2+Delta3", "n"),
+    (_bidouble_with("W/gamma2-self-intersection", lhs={"L": True}),
+     "W/gamma2-self-intersection", "lhs.L"),
+    (_one_check_file(kind="common_involution", orders=[2, 2, 2], n=4, expected="false"),
+     "x", "expected"),
+    (_one_check_file(kind="hodge_bound", k2=7, kd=3, d2=1, expected="no"), "x", "expected"),
+    (_one_check_file(kind="abstract_self_intersection", basis=["K", "F"],
+                 gram=[[7, 0.5], [0.5, 1]], **{"class": {"K": 1}}, expected=7), "x", "gram"),
+])
+def test_malformed_check_value_is_an_input_error(tmp_path, capsys, data, name, field):
+    from scw.cli import main
+
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"check {name}: {field}:" in err
 
 
 def test_run_named_unknown_tag():
@@ -294,6 +351,9 @@ def test_cli_h0():
     assert proc.stdout.strip() == "2"
     proc = run_cli("h0", str(FIXTURES / "inoue_z2z4.json"), "Y", '{"L": 1, "Zq": -1}')
     assert proc.returncode == 2
+    proc = run_cli("h0", str(FIXTURES / "inoue_z2z4.json"), "Y", '{"L": 2.0}')
+    assert proc.returncode == 2
+    assert "class argument.L" in proc.stderr
 
 
 def test_cli_lefschetz_and_seed_env():
