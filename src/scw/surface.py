@@ -5,7 +5,9 @@ pattern extracted from the script, and a derived catalog of negative
 curves.  Effectivity and section counts are delegated to the interpolation
 oracle; irreducibility of a candidate class uses the standard criterion
 that an effective class meeting a known irreducible negative curve
-negatively must contain it.
+negatively must contain it.  The pencil search and the singular-member
+decomposition read the catalog once as integer vectors and intersect
+them with one integer form (`_form`).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import oracle
 from .lattice import (BlowupLattice, DivisorClass, LatticeMismatch, blowup_lattice,
@@ -24,6 +27,9 @@ KIND_MINUS_TWO = "minus-two"
 KIND_OTHER = "other"
 
 DEFAULT_DEGREE_BOUND = 3
+
+# (C^2, K.C, genus) of a curve of each kind; KIND_OTHER is unconstrained
+_KIND_INVARIANTS = {KIND_MINUS_ONE: (-1, -1, 0), KIND_MINUS_TWO: (-2, 0, 0)}
 
 
 class SurfaceError(Exception):
@@ -41,10 +47,11 @@ class CurveRecord:
     provenance: str
 
     def __post_init__(self):
-        if self.kind == KIND_MINUS_ONE:
-            assert (self.self_int, self.k_degree, self.genus) == (-1, -1, 0)
-        if self.kind == KIND_MINUS_TWO:
-            assert (self.self_int, self.k_degree, self.genus) == (-2, 0, 0)
+        expected = _KIND_INVARIANTS.get(self.kind)
+        got = (self.self_int, self.k_degree, self.genus)
+        if expected is not None and got != expected:
+            raise SurfaceError(f"curve {self.name}: a {self.kind} curve has "
+                               f"(C^2, K.C, genus) = {expected}, not {got}")
 
 
 @dataclass
@@ -95,6 +102,7 @@ class BlowupSurface:
         self._realizations: dict[int, Realization] = {}
         self._h0_cache: dict[tuple, int] = {}
         self._catalog_cache: dict[int, list[CurveRecord]] = {}
+        self._catalog_vectors: dict[int, list[tuple[int, ...]]] = {}
 
     # -- oracle plumbing ---------------------------------------------------
 
@@ -132,6 +140,14 @@ class BlowupSurface:
         if degree_bound not in self._catalog_cache:
             self._catalog_cache[degree_bound] = catalog_negative_curves(self, degree_bound)
         return self._catalog_cache[degree_bound]
+
+    def catalog_vectors(self, degree_bound: int = DEFAULT_DEGREE_BOUND) -> list[tuple[int, ...]]:
+        """The catalogued classes as int vectors, in catalog order; every
+        record is integral."""
+        if degree_bound not in self._catalog_vectors:
+            self._catalog_vectors[degree_bound] = [
+                tuple(c.numerator for c in rec.cls.coeffs) for rec in self.catalog(degree_bound)]
+        return self._catalog_vectors[degree_bound]
 
     def catalog_by_class(self, degree_bound: int = DEFAULT_DEGREE_BOUND) -> dict[tuple, CurveRecord]:
         return {rec.cls.coeffs: rec for rec in self.catalog(degree_bound)}
@@ -184,18 +200,34 @@ def _distinct_permutations(shape):
         perm[i + 1:] = reversed(perm[i + 1:])
 
 
-def _candidates(surface: BlowupSurface, degree: int, self_int: int):
-    """Classes d*L - sum(m_i E_i) of a smooth rational curve of the given
-    degree and self-intersection (a pencil when self_int = 0), in
-    deterministic order: multiplicity shape descending, then permutation."""
+def _candidate_vectors(surface: BlowupSurface, degree: int, self_int: int):
+    """Int vectors (d, -m_1, ..., -m_n) of the classes d*L - sum(m_i E_i) of
+    a smooth rational curve of the given degree and self-intersection (a
+    pencil when self_int = 0), in deterministic order: multiplicity shape
+    descending, then permutation."""
     n = len(surface.lattice.exceptional_names)
     total = 3 * degree - 2 - self_int  # sum(m) = 3d + K.C, K.C = -2 - C^2
     square_sum = degree * degree - self_int
     # the shapes come distinct and in descending order
     for shape in _candidate_multiplicity_vectors(n, total, square_sum):
         for perm in _distinct_permutations(shape):
-            coeffs = (Fraction(degree),) + tuple(Fraction(-m) for m in perm)
-            yield DivisorClass(surface.lattice, coeffs)
+            yield (degree,) + tuple(-m for m in perm)
+
+
+def _class_of(surface: BlowupSurface, vec) -> DivisorClass:
+    return DivisorClass(surface.lattice, tuple(Fraction(c) for c in vec))
+
+
+def _candidates(surface: BlowupSurface, degree: int, self_int: int):
+    """`_candidate_vectors` as classes."""
+    for vec in _candidate_vectors(surface, degree, self_int):
+        yield _class_of(surface, vec)
+
+
+def _form(vec) -> tuple[int, ...]:
+    """The intersection form of the blowup lattice at an int class vector:
+    x.y = sum(_form(x)[i] * y[i]), since L^2 = 1 and E_i^2 = -1."""
+    return (vec[0],) + tuple(-c for c in vec[1:])
 
 
 def catalog_negative_curves(surface: BlowupSurface, degree_bound: int = DEFAULT_DEGREE_BOUND):
@@ -265,14 +297,20 @@ def isolated_minus_one_curves(surface: BlowupSurface, degree_bound: int = DEFAUL
 
 def find_pencils(surface: BlowupSurface, degree_bound: int = DEFAULT_DEGREE_BOUND) -> list[Pencil]:
     """Classes F with F^2 = 0, K.F = -2, two sections, and F.C >= 0 for
-    every catalogued curve (base-point-freeness proxy)."""
-    catalog = surface.catalog(degree_bound)
+    every catalogued curve (base-point-freeness proxy).
+
+    The filter is integer: each candidate is an int vector, its form
+    (`_form`) meets every catalogued int vector, and a class is built only
+    for a candidate that passes."""
+    rows = surface.catalog_vectors(degree_bound)
     out = []
-    candidates = (cand for degree in range(1, degree_bound + 1)
-                  for cand in _candidates(surface, degree, 0))
-    for cand in candidates:
-        if any(cand.dot(rec.cls) < 0 for rec in catalog):
+    candidates = (vec for degree in range(1, degree_bound + 1)
+                  for vec in _candidate_vectors(surface, degree, 0))
+    for vec in candidates:
+        form = _form(vec)
+        if any(sum(map(mul, form, row)) < 0 for row in rows):
             continue
+        cand = _class_of(surface, vec)
         if surface.h0(cand) != 2:
             continue
         out.append(Pencil(cls=cand))
@@ -286,8 +324,9 @@ def singular_members(surface: BlowupSurface, pencil: Pencil,
 
     The positive-degree multiplicities are enumerated (bounded by the
     pencil degree); the exceptional multiplicities are then forced by
-    coefficient balance.  Classes are read once as integer vectors, and
-    orthogonality is one integer form (f0, -f1, ..., -fn).
+    coefficient balance.  The catalog is read as integer vectors
+    (`BlowupSurface.catalog_vectors`), and orthogonality is one integer
+    form (`_form`).
     """
     f = pencil.cls
     if f.lattice != surface.lattice:
@@ -297,12 +336,10 @@ def singular_members(surface: BlowupSurface, pencil: Pencil,
     if not f.is_integral:  # a sum of curve classes is integral
         return decomps
     fv = tuple(c.numerator for c in f.coeffs)
-    form = (fv[0],) + tuple(-c for c in fv[1:])
-    orth = []
-    for rec in surface.catalog(degree_bound):
-        vec = tuple(c.numerator for c in rec.cls.coeffs)
-        if sum(a * b for a, b in zip(form, vec)) == 0:
-            orth.append((rec, vec))
+    form = _form(fv)
+    orth = [(rec, vec) for rec, vec in zip(surface.catalog(degree_bound),
+                                           surface.catalog_vectors(degree_bound))
+            if sum(map(mul, form, vec)) == 0]
     positive = [(rec, vec) for rec, vec in orth if vec[0] > 0]
     by_vector = {vec: rec for rec, vec in orth if vec[0] == 0}
     dim = len(fv)

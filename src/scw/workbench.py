@@ -166,6 +166,9 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
         w = f"{where}.checks[{i}]"
         if not isinstance(raw, dict) or "name" not in raw or "kind" not in raw:
             raise SpecError(f"{w}: a check needs at least 'name' and 'kind'")
+        for field in ("name", "tag"):
+            if not isinstance(raw.get(field, ""), str):
+                raise SpecError(f"{w}.{field}: expected a string, got {raw[field]!r}")
         if raw.get("suite", "all") not in SUITES:
             raise SpecError(f"{w}: unknown suite {raw.get('suite')!r}")
         if raw["name"] in names:

@@ -1,12 +1,14 @@
+import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from scw.lattice import LatticeMismatch
 from scw.oracle import FreePoint, LineThrough, PointOnLine
-from scw.surface import (KIND_MINUS_ONE, KIND_MINUS_TWO, Pencil, SurfaceError,
-                         _candidate_multiplicity_vectors, _candidates,
-                         build_surface, contract, find_pencils,
+from scw.surface import (KIND_MINUS_ONE, KIND_MINUS_TWO, KIND_OTHER, CurveRecord,
+                         Pencil, SurfaceError, _candidate_multiplicity_vectors,
+                         _candidates, build_surface, contract, find_pencils,
                          isolated_minus_one_curves, minus_one_curves,
                          minus_two_curves, singular_members)
 
@@ -89,6 +91,21 @@ def test_catalog_invariants(surface_w, surface_y):
             assert (c2 + kc) % 2 == 0
             assert rec.genus == 0
             assert rec.kind in (KIND_MINUS_ONE, KIND_MINUS_TWO)
+
+
+def test_curve_record_kind_invariants_are_enforced(surface_w):
+    e1 = surface_w.lattice.exceptional("E1")
+    fields = dict(name="E1", cls=e1, genus=Fraction(0), provenance="test")
+    CurveRecord(self_int=-1, k_degree=-1, kind=KIND_MINUS_ONE, **fields)
+    CurveRecord(self_int=-3, k_degree=1, kind=KIND_OTHER, **fields)
+    # a check kept in an assert would vanish under python -O
+    with pytest.raises(SurfaceError, match="minus-two curve has"):
+        CurveRecord(self_int=-1, k_degree=-1, kind=KIND_MINUS_TWO, **fields)
+    with pytest.raises(SurfaceError, match="minus-one curve has"):
+        CurveRecord(self_int=-2, k_degree=0, kind=KIND_MINUS_ONE, **fields)
+    with pytest.raises(SurfaceError):
+        CurveRecord(self_int=-1, k_degree=-1, kind=KIND_MINUS_ONE,
+                    **{**fields, "genus": Fraction(1)})
 
 
 def test_catalog_stable_across_seeds(z2z4_wb):
@@ -220,6 +237,53 @@ def reference_singular_members(surface, pencil, degree_bound=3):
     return decomps
 
 
+def reference_find_pencils(surface, degree_bound=3):
+    """`find_pencils` as it was written on DivisorClass arithmetic, with the
+    number of candidates its negativity filter rejected."""
+    catalog = surface.catalog(degree_bound)
+    out = []
+    rejected = 0
+    candidates = (cand for degree in range(1, degree_bound + 1)
+                  for cand in _candidates(surface, degree, 0))
+    for cand in candidates:
+        if any(cand.dot(rec.cls) < 0 for rec in catalog):
+            rejected += 1
+            continue
+        if surface.h0(cand) != 2:
+            continue
+        out.append(Pencil(cls=cand))
+    return out, rejected
+
+
+def _assert_pencils_match_reference(surface, degree_bound):
+    got = find_pencils(surface, degree_bound)
+    want, rejected = reference_find_pencils(surface, degree_bound)
+    assert got == want
+    assert all(type(c) is Fraction for p in got for c in p.cls.coeffs)
+    return rejected
+
+
+@functools.lru_cache(maxsize=None)
+def _general_surface(n):
+    return build_surface([FreePoint(f"p{i}") for i in range(1, n + 1)],
+                         [(f"p{i}", f"E{i}") for i in range(1, n + 1)])
+
+
+def test_pencils_match_reference_on_w_and_y(surface_w, surface_y):
+    assert _assert_pencils_match_reference(surface_w, 3) == 18
+    assert _assert_pencils_match_reference(surface_y, 3) == 66
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("degree_bound", [2, 3])
+def test_pencils_match_reference_on_general_points(n, degree_bound):
+    _assert_pencils_match_reference(_general_surface(n), degree_bound)
+
+
+def test_pencils_match_reference_on_four_collinear_points():
+    assert _assert_pencils_match_reference(_collinear_surface(), 3) == 6
+
+
 def _assert_members_match_reference(surface, degree_bound):
     pencils = find_pencils(surface, degree_bound)
     assert pencils
@@ -240,9 +304,7 @@ def test_singular_members_match_reference_on_w_and_y(surface_w, surface_y):
 @pytest.mark.parametrize("n", [6, 7, 8])
 @pytest.mark.parametrize("degree_bound", [2, 3])
 def test_singular_members_match_reference_on_general_points(n, degree_bound):
-    surface = build_surface([FreePoint(f"p{i}") for i in range(1, n + 1)],
-                            [(f"p{i}", f"E{i}") for i in range(1, n + 1)])
-    _assert_members_match_reference(surface, degree_bound)
+    _assert_members_match_reference(_general_surface(n), degree_bound)
 
 
 def test_singular_members_of_rational_or_foreign_classes(surface_w):

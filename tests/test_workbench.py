@@ -295,6 +295,21 @@ def test_malformed_check_value_is_an_input_error(tmp_path, capsys, data, name, f
     assert f"check {name}: {field}:" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tag", 5), ("tag", ["a"]), ("tag", None), ("name", ["a"]), ("name", 5),
+])
+def test_non_string_check_name_or_tag_is_an_input_error(tmp_path, capsys, field, value):
+    from scw.cli import main
+
+    check = {"name": "x", "kind": "gram_det", "matrix": [[2]], "expected": 2, "tag": "t"}
+    check[field] = value
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps({"version": 1, "checks": [check]}))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"checks[0].{field}: expected a string, got {value!r}" in err
+
+
 def test_run_named_unknown_tag():
     with pytest.raises(SpecError):
         run_named("lemma-99")
