@@ -21,7 +21,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .groups import Character, CyclicPair, FiniteAbelianGroup, restriction_level
-from .lattice import DivisorClass, adjunction_genus, format_class
+from .lattice import DivisorClass, Relation, adjunction_genus, format_class
 from .report import Check
 from .surface import BlowupSurface
 
@@ -64,13 +64,23 @@ class BranchComponent:
 @dataclass(frozen=True)
 class CoverSpec:
     """Building data of one cover.  Frozen, so the derived data cached on
-    first use (all_l, branch_points, ramification) can never go stale."""
+    first use (pair_divisors, all_l, branch_points, ramification) can never
+    go stale."""
 
     name: str
     group: FiniteAbelianGroup
     base: BlowupSurface
     branch: tuple[BranchComponent, ...]
     reduced_l: tuple[tuple[Character, DivisorClass], ...]
+
+    @cached_property
+    def pair_divisors(self) -> tuple[tuple[CyclicPair, DivisorClass], ...]:
+        """(pair, D_pair) for each inertia pair in order of first appearance,
+        D_pair the sum of the branch curves carrying that pair."""
+        sums: dict[CyclicPair, DivisorClass] = {}
+        for b in self.branch:
+            sums[b.pair] = sums[b.pair] + b.curve if b.pair in sums else b.curve
+        return tuple(sums.items())
 
     @cached_property
     def all_l(self) -> MappingProxyType:
@@ -89,25 +99,8 @@ class CoverSpec:
     def branch_by_name(self) -> dict[str, BranchComponent]:
         return {b.name: b for b in self.branch}
 
-    def pairs(self) -> list[CyclicPair]:
-        out = []
-        for b in self.branch:
-            if b.pair not in out:
-                out.append(b.pair)
-        return out
-
-    def pair_divisor(self, pair: CyclicPair) -> DivisorClass:
-        total = self.base.lattice.zero()
-        for b in self.branch:
-            if b.pair == pair:
-                total = total + b.curve
-        return total
-
     def total_branch_divisor(self) -> DivisorClass:
-        total = self.base.lattice.zero()
-        for b in self.branch:
-            total = total + b.curve
-        return total
+        return sum((d for _pair, d in self.pair_divisors), self.base.lattice.zero())
 
 
 def _epsilon(pair: CyclicPair, chi1: Character, chi2: Character) -> int:
@@ -122,20 +115,20 @@ def relation_rhs(spec: CoverSpec, chi: Character) -> DivisorClass:
     (m the order of chi, f its restriction level on the pair)."""
     m = spec.group.element_order(chi)
     rhs = spec.base.lattice.zero()
-    for pair in spec.pairs():
+    for pair, d in spec.pair_divisors:
         weight = Fraction(m * restriction_level(pair, chi), pair.order)
         if weight.denominator != 1:
             raise CoverDataError("restriction level incompatible with character order")
-        rhs = rhs + int(weight) * spec.pair_divisor(pair)
+        rhs = rhs + int(weight) * d
     return rhs
 
 
 def pair_rule_term(spec: CoverSpec, a: Character, b: Character) -> DivisorClass:
     """sum(eps*D_pair), by which L_a + L_b exceeds L_ab."""
     total = spec.base.lattice.zero()
-    for pair in spec.pairs():
+    for pair, d in spec.pair_divisors:
         if _epsilon(pair, a, b):
-            total = total + spec.pair_divisor(pair)
+            total = total + d
     return total
 
 
@@ -281,8 +274,6 @@ def building_data_relations(spec: CoverSpec):
     for lattice.solve_linear; the solution is unique on a torsion-free
     lattice and must agree with derive_all_L.
     """
-    from .lattice import Relation
-
     group = spec.group
     nontrivial = [chi for chi in group.characters() if chi != group.identity()]
     relations = []
@@ -292,20 +283,23 @@ def building_data_relations(spec: CoverSpec):
     for a, b in itertools.combinations(nontrivial, 2):
         ab = group.add(a, b)
         rhs = pair_rule_term(spec, a, b)
-        unknowns = {character_unknown_name(a): 1}
-        unknowns[character_unknown_name(b)] = unknowns.get(character_unknown_name(b), 0) + 1
+        unknowns = {character_unknown_name(a): 1, character_unknown_name(b): 1}
         if ab != group.identity():
-            unknowns[character_unknown_name(ab)] = unknowns.get(character_unknown_name(ab), 0) - 1
+            unknowns[character_unknown_name(ab)] = -1
         relations.append(Relation.make(unknowns, rhs))
     return relations
 
 
 @dataclass(frozen=True)
 class BranchPointAnalysis:
+    """One crossing of two branch components.  J is the subgroup of G
+    generated by the two inertia subgroups: the stabilizer of each point
+    above a crossing point."""
+
     location: tuple[str, str]   # names of the two crossing components
     crossing_points: int        # intersection number on the base
-    inertia_order: int
-    preimage_count: int         # preimage points per crossing point
+    inertia_order: int          # |J|
+    preimage_count: int         # preimage points per crossing point, |G|/|J|
     verdict: str
 
 
@@ -317,7 +311,6 @@ def classify_branch_points(spec: CoverSpec) -> list[BranchPointAnalysis]:
     Anything else is reported as unsupported, never a crash.
     """
     out = []
-    order = spec.group.order
     for b1, b2 in itertools.combinations(spec.branch, 2):
         if b1.curve.is_zero or b2.curve.is_zero:
             continue
@@ -326,42 +319,30 @@ def classify_branch_points(spec: CoverSpec) -> list[BranchPointAnalysis]:
             continue
         s1 = b1.pair.subgroup()
         s2 = b2.pair.subgroup()
-        names = (b1.name, b2.name)
+        j = len(spec.group.subgroup_closure(list(s1 | s2)))
         if s1 & s2 == {spec.group.identity()}:
-            product = spec.group.subgroup_closure(list(s1 | s2))
-            out.append(BranchPointAnalysis(
-                location=names,
-                crossing_points=int(crossings),
-                inertia_order=len(product),
-                preimage_count=order // len(product),
-                verdict=VERDICT_SMOOTH,
-            ))
-        elif (s1 < s2 and len(s2) == 4 and len(s1) == 2) or (s2 < s1 and len(s1) == 4 and len(s2) == 2):
-            big = s2 if len(s2) == 4 else s1
-            out.append(BranchPointAnalysis(
-                location=names,
-                crossing_points=int(crossings),
-                inertia_order=len(big),
-                preimage_count=order // len(big),
-                verdict=VERDICT_NODE_A1,
-            ))
+            verdict = VERDICT_SMOOTH
+        elif (s1 < s2 or s2 < s1) and sorted((len(s1), len(s2))) == [2, 4]:
+            verdict = VERDICT_NODE_A1
         else:
-            out.append(BranchPointAnalysis(
-                location=names,
-                crossing_points=int(crossings),
-                inertia_order=0,
-                preimage_count=0,
-                verdict=VERDICT_UNSUPPORTED,
-            ))
+            verdict = VERDICT_UNSUPPORTED
+        out.append(BranchPointAnalysis((b1.name, b2.name), int(crossings), j,
+                                       spec.group.order // j, verdict))
     return out
 
 
-def node_count(spec: CoverSpec) -> int:
+def _a1_nodes(spec: CoverSpec, on: str | None = None) -> int:
+    """A1 nodes of the cover, or only those above crossings of branch
+    component `on`."""
     return sum(
         a.crossing_points * a.preimage_count
         for a in spec.branch_points
-        if a.verdict == VERDICT_NODE_A1
+        if a.verdict == VERDICT_NODE_A1 and (on is None or on in a.location)
     )
+
+
+def node_count(spec: CoverSpec) -> int:
+    return _a1_nodes(spec)
 
 
 @dataclass(frozen=True)
@@ -391,15 +372,6 @@ def pullback(spec: CoverSpec, comp: BranchComponent) -> PullbackRecord:
     return PullbackRecord(comp.name, e, n, d, s)
 
 
-def _nodes_on_component(spec: CoverSpec, comp: BranchComponent) -> Fraction:
-    """A1 nodes lying on each preimage component of this branch curve."""
-    total = 0
-    for analysis in spec.branch_points:
-        if analysis.verdict == VERDICT_NODE_A1 and comp.name in analysis.location:
-            total += analysis.crossing_points * analysis.preimage_count
-    return Fraction(total, comp.components)
-
-
 @dataclass(frozen=True)
 class ConsistencyReport:
     component: str
@@ -423,23 +395,16 @@ def preimage_consistency(spec: CoverSpec, comp: BranchComponent) -> ConsistencyR
     """
     pb = pullback(spec, comp)
     e = pb.ramification_multiplicity
-    order = spec.group.order
     g_base = adjunction_genus(comp.curve, spec.base.canonical)
-    total_r = Fraction(0)
-    for other in spec.branch:
-        if other.name == comp.name or other.curve.is_zero:
-            continue
-        crossings = comp.curve.dot(other.curve)
-        if crossings <= 0:
-            continue
-        j = spec.group.subgroup_closure(list(comp.pair.subgroup() | other.pair.subgroup()))
-        index = Fraction(len(j), e)
-        points_above = Fraction(order, len(j))
-        total_r += crossings * (index - 1) * points_above
-    r = total_r / pb.components
+    total_r = sum(
+        a.crossing_points * (Fraction(a.inertia_order, e) - 1) * a.preimage_count
+        for a in spec.branch_points
+        if comp.name in a.location
+    )
+    r = Fraction(total_r, pb.components)
     two_g = pb.map_degree * (2 * g_base - 2) + r + 2
     hurwitz = two_g / 2
-    nodes = _nodes_on_component(spec, comp)
+    nodes = Fraction(_a1_nodes(spec, comp.name), pb.components)
     adj = (pb.self_intersection + _k_cover_degree(spec, comp, pb) - nodes / 2 + 2) / 2
 
     ok = True
@@ -468,13 +433,17 @@ def canonical_cover(spec: CoverSpec, n_clear: int | None = None):
     """
     n = spec.group.exponent if n_clear is None else n_clear
     p = n * spec.base.canonical
-    for pair in spec.pairs():
+    for pair, d in spec.pair_divisors:
         w = Fraction(n * (pair.order - 1), pair.order)
         if w.denominator != 1:
             raise CoverDataError(f"N={n} does not clear the ramification weight for order {pair.order}")
-        p = p + int(w) * spec.pair_divisor(pair)
-    k2 = Fraction(spec.group.order) * p.dot(p) / (n * n)
-    return p, k2
+        p = p + int(w) * d
+    return p, _k_squared(spec, p, n)
+
+
+def _k_squared(spec: CoverSpec, p: DivisorClass, n: int) -> Fraction:
+    """K^2 = |G| * P^2 / N^2 of a surface with N*K = pullback(P)."""
+    return Fraction(spec.group.order) * p.dot(p) / (n * n)
 
 
 @dataclass(frozen=True)
@@ -609,7 +578,6 @@ def minimal_model(spec: CoverSpec, plan: ContractionPlan) -> CoverInvariants:
     for every other catalogued curve on the base.
     """
     inv = invariants(spec)
-    n_clear = spec.group.exponent
     p, k2_cover = spec.ramification
     by_name = spec.branch_by_name()
     contracted: list[BranchComponent] = []
@@ -654,7 +622,7 @@ def minimal_model(spec: CoverSpec, plan: ContractionPlan) -> CoverInvariants:
     for comp in contracted:
         if p_s.dot(comp.curve) != 0:
             raise AccountingError(f"projection failed to clear {comp.name}")
-    k2_route2 = Fraction(spec.group.order) * p_s.dot(p_s) / (n_clear * n_clear)
+    k2_route2 = _k_squared(spec, p_s, spec.group.exponent)
 
     if k2_route1 != k2_route2:
         raise AccountingError(

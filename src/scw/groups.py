@@ -59,14 +59,6 @@ class FiniteAbelianGroup:
     def char_is_trivial_on(self, chi: Character, subset) -> bool:
         return all(self.char_exponent(chi, a) == 0 for a in subset)
 
-    def cyclic_subgroup(self, a: Element) -> frozenset[Element]:
-        out = {self.identity()}
-        x = a
-        while x not in out:
-            out.add(x)
-            x = self.add(x, a)
-        return frozenset(out)
-
     def subgroup_closure(self, gens) -> frozenset[Element]:
         out = {self.identity()}
         frontier = [self.identity()]
@@ -147,7 +139,7 @@ class CyclicPair:
         return self.group.element_order(self.generator)
 
     def subgroup(self) -> frozenset[Element]:
-        return self.group.cyclic_subgroup(self.generator)
+        return self.group.subgroup_closure([self.generator])
 
 
 def restriction_level(pair: CyclicPair, chi: Character) -> int:

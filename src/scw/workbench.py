@@ -166,7 +166,7 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
         w = f"{where}.checks[{i}]"
         if not isinstance(raw, dict) or "name" not in raw or "kind" not in raw:
             raise SpecError(f"{w}: a check needs at least 'name' and 'kind'")
-        for field in ("name", "tag"):
+        for field in ("name", "kind", "tag"):
             if not isinstance(raw.get(field, ""), str):
                 raise SpecError(f"{w}.{field}: expected a string, got {raw[field]!r}")
         if raw.get("suite", "all") not in SUITES:

@@ -1,16 +1,20 @@
+import itertools
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scw.cover import (AccountingError, BranchComponent, ContractionPlan, CoverDataError,
-                       CoverSpec, UnsupportedCharacter, VERDICT_NODE_A1, VERDICT_SMOOTH,
-                       VERDICT_UNSUPPORTED, building_data_relations, canonical_cover,
-                       character_unknown_name, classify_branch_points, derive_all_L,
-                       h0_vanishing_checks, invariants, minimal_model, node_count,
-                       preimage_consistency, pullback, quotient_cover, validate_cover_data)
+from scw.cover import (AccountingError, BranchComponent, BranchPointAnalysis, ContractionPlan,
+                       ConsistencyReport, CoverDataError, CoverSpec, UnsupportedCharacter,
+                       VERDICT_NODE_A1, VERDICT_SMOOTH, VERDICT_UNSUPPORTED,
+                       building_data_relations, canonical_cover, character_unknown_name,
+                       classify_branch_points, derive_all_L, h0_vanishing_checks, invariants,
+                       minimal_model, node_count, preimage_consistency, pullback,
+                       quotient_cover, validate_cover_data)
 from scw.groups import CyclicPair, FiniteAbelianGroup
-from scw.lattice import solve_linear
+from scw.lattice import adjunction_genus, solve_linear
 
 
 def all_pass(checks):
@@ -111,6 +115,115 @@ def test_unsupported_inertia_shape(cover_g):
     spec = replace(cover_g, branch=comps, reduced_l=())
     analyses = classify_branch_points(spec)
     assert [a.verdict for a in analyses] == [VERDICT_UNSUPPORTED]
+    # J is the shared order-2 subgroup, so two points lie above the crossing
+    assert (analyses[0].inertia_order, analyses[0].preimage_count) == (2, 2)
+
+
+def reference_classify_branch_points(spec):
+    """`classify_branch_points` as it was written with one record per
+    verdict, which gives an unsupported crossing 0/0 for |J| and |G|/|J|."""
+    out = []
+    order = spec.group.order
+    for b1, b2 in itertools.combinations(spec.branch, 2):
+        if b1.curve.is_zero or b2.curve.is_zero:
+            continue
+        crossings = b1.curve.dot(b2.curve)
+        if crossings <= 0:
+            continue
+        s1 = b1.pair.subgroup()
+        s2 = b2.pair.subgroup()
+        names = (b1.name, b2.name)
+        if s1 & s2 == {spec.group.identity()}:
+            product = spec.group.subgroup_closure(list(s1 | s2))
+            out.append(BranchPointAnalysis(names, int(crossings), len(product),
+                                           order // len(product), VERDICT_SMOOTH))
+        elif (s1 < s2 and len(s2) == 4 and len(s1) == 2) or (s2 < s1 and len(s1) == 4 and len(s2) == 2):
+            big = s2 if len(s2) == 4 else s1
+            out.append(BranchPointAnalysis(names, int(crossings), len(big),
+                                           order // len(big), VERDICT_NODE_A1))
+        else:
+            out.append(BranchPointAnalysis(names, int(crossings), 0, 0, VERDICT_UNSUPPORTED))
+    return out
+
+
+def reference_preimage_consistency(spec, comp, analyses):
+    """`preimage_consistency` as it was written with its own loop over the
+    branch for the ramification; A1 nodes come from `analyses`."""
+    pb = pullback(spec, comp)
+    e = pb.ramification_multiplicity
+    order = spec.group.order
+    g_base = adjunction_genus(comp.curve, spec.base.canonical)
+    total_r = Fraction(0)
+    for other in spec.branch:
+        if other.name == comp.name or other.curve.is_zero:
+            continue
+        crossings = comp.curve.dot(other.curve)
+        if crossings <= 0:
+            continue
+        j = spec.group.subgroup_closure(list(comp.pair.subgroup() | other.pair.subgroup()))
+        total_r += crossings * (Fraction(len(j), e) - 1) * Fraction(order, len(j))
+    r = total_r / pb.components
+    hurwitz = (pb.map_degree * (2 * g_base - 2) + r + 2) / 2
+    nodes = Fraction(sum(a.crossing_points * a.preimage_count for a in analyses
+                         if a.verdict == VERDICT_NODE_A1 and comp.name in a.location),
+                     comp.components)
+    p, _k2 = spec.ramification
+    k_deg = Fraction(pb.map_degree) * p.dot(comp.curve) / spec.group.exponent
+    adj = (pb.self_intersection + k_deg - nodes / 2 + 2) / 2
+    ok, reason = True, "consistent"
+    if r.denominator != 1:
+        ok, reason = False, f"ramification {r} not integral across {pb.components} components"
+    elif hurwitz.denominator != 1 or hurwitz < 0:
+        ok, reason = False, f"Hurwitz genus {hurwitz} is not a non-negative integer"
+    elif adj != hurwitz:
+        ok, reason = False, f"adjunction genus {adj} != Hurwitz genus {hurwitz}"
+    return ConsistencyReport(comp.name, pb.map_degree, r, hurwitz, adj, ok, reason)
+
+
+def assert_crossings_match_reference(spec):
+    analyses = classify_branch_points(spec)
+    ref = reference_classify_branch_points(spec)
+    assert [(a.location, a.crossing_points, a.verdict) for a in analyses] == \
+        [(a.location, a.crossing_points, a.verdict) for a in ref]
+    for a, b in zip(analyses, ref):
+        # |J| and |G|/|J| for every crossing; unsupported ones read 0/0 before
+        assert a.inertia_order * a.preimage_count == spec.group.order
+        if a.verdict != VERDICT_UNSUPPORTED:
+            assert a == b
+    assert node_count(spec) == sum(a.crossing_points * a.preimage_count for a in ref
+                                   if a.verdict == VERDICT_NODE_A1)
+    for comp in spec.branch:
+        if not comp.curve.is_zero:
+            assert preimage_consistency(spec, comp) == reference_preimage_consistency(spec, comp, ref)
+    return analyses
+
+
+def test_crossings_match_reference_on_fixtures(cover_g, cover_h):
+    for spec in (cover_g, cover_h):
+        assert_crossings_match_reference(spec)
+
+
+@st.composite
+def random_inertia(draw, spec):
+    """The spec with a random valid inertia pair and a compatible asserted
+    component count on every branch component."""
+    group = spec.group
+    branch = []
+    for comp in spec.branch:
+        gen = draw(st.sampled_from([a for a in group.elements() if a != group.identity()]))
+        m = group.element_order(gen)
+        exponent = draw(st.sampled_from([k for k in range(1, m) if gcd(k, m) == 1]))
+        n = 0 if comp.curve.is_zero else draw(st.sampled_from(
+            [d for d in range(1, group.order // m + 1) if (group.order // m) % d == 0]))
+        branch.append(replace(comp, pair=CyclicPair(group, gen, exponent), components=n))
+    return replace(spec, branch=tuple(branch))
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.sampled_from(["g", "h"]), data=st.data())
+def test_crossings_match_reference_on_random_inertia(cover_g, cover_h, which, data):
+    spec = data.draw(random_inertia(cover_g if which == "g" else cover_h))
+    assert_crossings_match_reference(spec)
 
 
 def test_pullbacks(cover_h):

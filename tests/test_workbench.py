@@ -297,6 +297,7 @@ def test_malformed_check_value_is_an_input_error(tmp_path, capsys, data, name, f
 
 @pytest.mark.parametrize("field, value", [
     ("tag", 5), ("tag", ["a"]), ("tag", None), ("name", ["a"]), ("name", 5),
+    ("kind", ["a"]), ("kind", 5),
 ])
 def test_non_string_check_name_or_tag_is_an_input_error(tmp_path, capsys, field, value):
     from scw.cli import main
