@@ -3,8 +3,8 @@
 Each check is a JSON object with a unique `name`, a `suite`, a citation
 `tag`, a `kind` selecting the handler, and handler-specific parameters.
 Handlers compute exact values and compare them with the expected data
-frozen in the file.  Every number a handler reads from the file goes
-through `_int`, `_rat` or `_bool`, which raise `SpecError` naming the field.
+frozen in the file.  Every value a handler reads from the file goes
+through one of the readers below, which raise `SpecError` naming the field.
 `run_check` makes the harness decisions once for every handler; see there.
 """
 
@@ -17,8 +17,9 @@ from . import cover as cover_mod
 from . import groups as groups_mod
 from . import lefschetz as lef
 from . import surface as surface_mod
-from .lattice import (DivisorClass, abstract_lattice, adjunction_genus, format_class,
-                      gram_det, hodge_index_bound, solve_divide, solve_linear)
+from .lattice import (DivisorClass, NotDivisible, Unsolvable, abstract_lattice,
+                      adjunction_genus, format_class, gram_det, hodge_index_bound, solve_divide,
+                      solve_linear)
 from .report import FAIL, PASS, UNSUPPORTED, Check, equality_check
 
 
@@ -60,19 +61,35 @@ def _bool(value, where: str) -> bool:
     raise SpecError(f"{where}: expected true or false, got {value!r}")
 
 
-def _class_items(mapping, symbols, where: str):
-    if not isinstance(mapping, dict):
-        raise SpecError(f"{where}: expected a symbol->coefficient map")
-    items = []
-    for sym in sorted(mapping):
-        if sym not in symbols:
-            raise SpecError(f"{where}: unknown basis symbol {sym!r}")
-        items.append((sym, _rat(mapping[sym], f"{where}.{sym}")))
-    return tuple(items)
+def _str(value, where: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise SpecError(f"{where}: expected a string, got {value!r}")
 
 
 def resolve_class(lattice, class_map, where: str) -> DivisorClass:
-    return lattice.divisor(dict(_class_items(class_map, lattice.names, where)))
+    if not isinstance(class_map, dict):
+        raise SpecError(f"{where}: expected a symbol->coefficient map")
+    for sym in sorted(class_map):
+        if sym not in lattice.names:
+            raise SpecError(f"{where}: unknown basis symbol {sym!r}")
+    return lattice.divisor({sym: _rat(c, f"{where}.{sym}") for sym, c in sorted(class_map.items())})
+
+
+def _element(group, value, where: str) -> tuple[int, ...]:
+    """A group element or character: one residue per cyclic factor, reduced."""
+    residues = _ints(value, where)
+    if len(residues) != len(group.orders):
+        raise SpecError(f"{where}: expected {len(group.orders)} residues, got {list(residues)}")
+    return group.reduce(residues)
+
+
+def _components(spec, names, where: str) -> list:
+    """The branch components of a cover that a check names."""
+    by_name = spec.branch_by_name()
+    if not isinstance(names, list) or not all(isinstance(n, str) and n in by_name for n in names):
+        raise SpecError(f"{where}: expected names of branch components, got {names!r}")
+    return [by_name[n] for n in names]
 
 
 def _class_set(records):
@@ -246,7 +263,7 @@ def check_cover_relations(wb, p) -> list[Check]:
 
 def check_relation_sum(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
-    chi = _ints(p["character"], "character")
+    chi = _element(spec.group, p.get("character"), "character")
     expected = resolve_class(spec.base.lattice, p["expected_class"], "expected_class")
     m = spec.group.element_order(chi)
     rhs = cover_mod.relation_rhs(spec, chi)
@@ -261,19 +278,18 @@ def check_relation_sum(wb, p) -> list[Check]:
 def check_derived_class(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
     derived = spec.all_l
-    chi = spec.group.reduce(_ints(p["character"], "character"))
+    chi = _element(spec.group, p.get("character"), "character")
     got = derived[chi]
     checks = []
     if "expected_class" in p:
         expected = resolve_class(spec.base.lattice, p["expected_class"], "expected_class")
         checks.append(equality_check(p["name"], format_class(got), format_class(expected)))
     if "minuend" in p:
-        base_chi = spec.group.reduce(_ints(p["minuend"]["character"], "minuend.character"))
+        base_chi = _element(spec.group, p["minuend"].get("character"), "minuend.character")
         mult = _int(p["minuend"]["multiple"], "minuend.multiple")
         combo = mult * derived[base_chi]
-        by_name = spec.branch_by_name()
-        for name in p["subtract_components"]:
-            combo = combo - by_name[name].curve
+        for comp in _components(spec, p.get("subtract_components"), "subtract_components"):
+            combo = combo - comp.curve
         checks.append(equality_check(f"{p['name']}/combination", format_class(got),
                                      format_class(combo)))
     return checks
@@ -328,7 +344,7 @@ def check_pullback(wb, p) -> list[Check]:
     e = p["expected"]
     expected = (_int(e["e"], "expected.e"), _int(e["n"], "expected.n"),
                 _int(e["d"], "expected.d"), str(_rat(e["s"], "expected.s")))
-    comp = spec.branch_by_name()[p["component"]]
+    comp, = _components(spec, [p.get("component")], "component")
     pb = cover_mod.pullback(spec, comp)
     got = (pb.ramification_multiplicity, pb.components, pb.map_degree, str(pb.self_intersection))
     return [equality_check(p["name"], got, expected)]
@@ -337,7 +353,7 @@ def check_pullback(wb, p) -> list[Check]:
 def check_preimage_consistency(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
     names = p.get("components")
-    comps = spec.branch if names in (None, "all") else [spec.branch_by_name()[n] for n in names]
+    comps = spec.branch if names in (None, "all") else _components(spec, names, "components")
     out = []
     for comp in comps:
         if comp.curve.is_zero:
@@ -384,7 +400,7 @@ def check_h0_vanishing(wb, p) -> list[Check]:
 def check_quotient_cover(wb, p) -> list[Check]:
     spec = wb.cover(p["cover"])
     expected_k2 = _rat(p["expected_k2"], "expected_k2")
-    quotient = cover_mod.quotient_cover(spec, _ints(p["character"], "character"))
+    quotient = cover_mod.quotient_cover(spec, _element(spec.group, p.get("character"), "character"))
     got_branch = sorted(c.name for c in quotient.branch)
     _cls, k2 = cover_mod.canonical_cover(quotient, 2)
     return [equality_check(f"{p['name']}/branch", got_branch, sorted(p["expected_branch"])),
@@ -398,7 +414,7 @@ def check_minimal_model(wb, p) -> list[Check]:
     plan = cover_mod.ContractionPlan(
         simple=_int(p["simple"], "simple"),
         node_threading=_int(p["node_threading"], "node_threading"),
-        contracted_base=tuple(p["contract"]),
+        contracted_base=tuple(c.name for c in _components(spec, p.get("contract"), "contract")),
     )
     inv = cover_mod.minimal_model(spec, plan)
     checks = [equality_check(f"{p['name']}/k2", inv.k2_minimal, expected_k2)]
@@ -487,9 +503,9 @@ def check_common_involution(wb, p) -> list[Check]:
 
 def check_restriction_level(wb, p) -> list[Check]:
     group = groups_mod.FiniteAbelianGroup(_ints(p["orders"], "orders"))
-    pair = groups_mod.CyclicPair(group, _ints(p["generator"], "generator"),
+    pair = groups_mod.CyclicPair(group, _element(group, p.get("generator"), "generator"),
                                  _int(p["exponent"], "exponent"))
-    got = groups_mod.restriction_level(pair, _ints(p["character"], "character"))
+    got = groups_mod.restriction_level(pair, _element(group, p.get("character"), "character"))
     return [equality_check(p["name"], got, _int(p["expected"], "expected"))]
 
 
@@ -532,6 +548,11 @@ HANDLERS = {
     "restriction_level": check_restriction_level,
 }
 
+# raised when a claimed class or derivation does not exist; any other exception
+# is a fault, which proves nothing about the claim
+REFUTATIONS = (cover_mod.InconsistentDerivation, cover_mod.AccountingError,
+               cover_mod.CoverDataError, NotDivisible, Unsolvable)
+
 # kinds whose handler reads derived cover data, which means nothing when
 # the file's cover data failed validation
 NEEDS_VALID_COVER = frozenset({
@@ -542,16 +563,14 @@ NEEDS_VALID_COVER = frozenset({
 
 def run_check(wb, params: dict) -> list[Check]:
     """The checks of one file entry, with the harness decisions made here
-    once for every handler: an unknown kind fails; a kind in
-    NEEDS_VALID_COVER reports `unsupported` when its cover failed
-    validation; a SpecError is raised again naming the check; any other
-    exception becomes a failing check; and the entry's `tag`, when it has
-    one, replaces the tags of all its checks."""
+    once for every handler: a kind in NEEDS_VALID_COVER reports `unsupported` when its cover failed
+    validation; a SpecError is raised again naming the check; an exception
+    in REFUTATIONS becomes a failing check, and any other one an
+    `unsupported` check naming it; and the entry's `tag`, when it has one,
+    replaces the tags of all its checks."""
     name, kind = params.get("name", "?"), params.get("kind")
     try:
-        if kind not in HANDLERS:
-            checks = [Check(name, FAIL, f"unknown check kind {kind!r}", "known check kind")]
-        elif kind in NEEDS_VALID_COVER and not wb.cover_valid(params["cover"]):
+        if kind in NEEDS_VALID_COVER and not wb.cover_valid(params["cover"]):
             checks = [Check(name, UNSUPPORTED, "cover data failed validation",
                             "valid cover data")]
         else:
@@ -559,7 +578,8 @@ def run_check(wb, params: dict) -> list[Check]:
     except SpecError as exc:
         raise SpecError(f"check {name}: {exc}") from None
     except Exception as exc:  # a check must never crash the harness
-        checks = [Check(name, FAIL, f"{type(exc).__name__}: {exc}", "check evaluates cleanly")]
+        status = FAIL if isinstance(exc, REFUTATIONS) else UNSUPPORTED
+        checks = [Check(name, status, f"{type(exc).__name__}: {exc}", "check evaluates cleanly")]
     if "tag" in params:
         checks = [replace(c, tag=params["tag"]) for c in checks]
     return checks

@@ -194,10 +194,6 @@ def validate_cover_data(spec: CoverSpec) -> list[Check]:
             by_class.setdefault(comp.curve.coeffs, []).append(comp)
     reduced_ok = True
     notes = []
-    names = [c.name for c in spec.branch]
-    if len(set(names)) != len(names):
-        reduced_ok = False
-        notes.append("repeated component name")
     for coeffs, comps in by_class.items():
         if len(comps) > 1 and spec.base.h0(comps[0].curve) < 2:
             reduced_ok = False

@@ -248,18 +248,6 @@ def _rejection(points, lines, incidence, mk, declared) -> str | None:
     return None
 
 
-def collinear_sets(script, marked_points) -> list[frozenset[str]]:
-    """Sets of three or more marked points sharing a constructed line."""
-    _points, _lines, incidence = check_script(script)
-    marked = set(marked_points)
-    out = []
-    for _line, pts in sorted(incidence.items()):
-        mk = frozenset(pts & marked)
-        if len(mk) >= 3:
-            out.append(mk)
-    return out
-
-
 def _multiplicity_rows(point: Triple, mult: int, degree: int, monomials) -> list[list[int]]:
     """Vanishing of all partials of order mult-1 at the point (exact)."""
     rows = []

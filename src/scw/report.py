@@ -34,9 +34,6 @@ class VerificationReport:
     checks: list[Check] = field(default_factory=list)
     seed: int = 0
 
-    def add(self, check: Check):
-        self.checks.append(check)
-
     def extend(self, checks):
         self.checks.extend(checks)
 

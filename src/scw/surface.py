@@ -20,7 +20,7 @@ from operator import mul
 from . import oracle
 from .lattice import (BlowupLattice, DivisorClass, LatticeMismatch, blowup_lattice,
                       format_class)
-from .oracle import Realization, SeedPolicy, check_script, collinear_sets
+from .oracle import Realization, SeedPolicy, check_script
 
 KIND_MINUS_ONE = "minus-one"
 KIND_MINUS_TWO = "minus-two"
@@ -75,7 +75,7 @@ class BlowupSurface:
 
     def __init__(self, script, blowups, name: str = "S", line_symbol: str = "L",
                  seed_policy: SeedPolicy | None = None):
-        point_names, _lines, _inc = check_script(script)
+        point_names, _lines, incidence = check_script(script)
         seen_points: set[str] = set()
         seen_symbols: set[str] = set()
         for point, symbol in blowups:
@@ -94,9 +94,10 @@ class BlowupSurface:
         self.symbol_of_point = {p: s for p, s in blowups}
         self.lattice: BlowupLattice = blowup_lattice(line_symbol, (s for _, s in blowups))
         self.canonical = self.lattice.canonical_class()
+        # sets of three or more blown-up points on one constructed line
         self.collinear_sets = tuple(
-            frozenset(self.symbol_of_point[p] for p in group)
-            for group in collinear_sets(script, seen_points)
+            frozenset(self.symbol_of_point[p] for p in pts & seen_points)
+            for _line, pts in sorted(incidence.items()) if len(pts & seen_points) >= 3
         )
         self.seed_policy = seed_policy or SeedPolicy()
         self._realizations: dict[int, Realization] = {}

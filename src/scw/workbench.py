@@ -3,25 +3,30 @@
 A workbench file is JSON with construction scripts for surfaces, cover
 specifications over them, and a list of named checks.  Rationals are
 written as integers or "p/q" strings; divisor classes as symbol ->
-rational maps; characters and group elements as residue tuples.  Checks
-are kept as the plain JSON objects of the file, with their keys sorted at
-every level.  Reports are deterministic given (file, seed).
+rational maps; characters and group elements as residue tuples, one per
+cyclic factor.  `_surface` and `_cover` read a surface and a cover into
+the `BlowupSurface` and `CoverSpec` the checks use, refusing bad data with
+a `SpecError` naming the field.  `parse_data` runs both on every entry, so
+bad data fails before any check runs, and keeps the file's JSON objects,
+keys sorted at every level; a `Workbench` builds them again at its seed.
+Reports are deterministic given (file, seed).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .checks import NAMED_CHECKS, SpecError, _class_items, _int, _ints, run_check
-from .cover import BranchComponent, CoverSpec, validate_cover_data
+from .checks import (HANDLERS, NAMED_CHECKS, SpecError, _element, _int, _ints, _str,
+                     resolve_class, run_check)
+from .cover import BranchComponent, CoverDataError, CoverSpec, validate_cover_data
 from .groups import CyclicPair, FiniteAbelianGroup
-from .oracle import FreeLine, FreePoint, IntersectionPoint, LineThrough, PointOnLine, SeedPolicy
+from .oracle import (FreeLine, FreePoint, IntersectionPoint, LineThrough, PointOnLine, ScriptError,
+                     SeedPolicy)
 from .report import Check, VerificationReport
-from .surface import BlowupSurface
+from .surface import BlowupSurface, SurfaceError
 
 FORMAT_VERSION = 1
 SUITES = ("lattice", "surface", "cover", "lefschetz", "all")
@@ -36,44 +41,24 @@ _STEP_KINDS = {
 
 
 @dataclass(frozen=True)
-class SurfaceDef:
-    id: str
-    line_symbol: str
-    script: tuple
-    blowups: tuple[tuple[str, str], ...]
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return (self.line_symbol,) + tuple(s for _, s in self.blowups)
-
-
-@dataclass(frozen=True)
-class BranchDef:
-    name: str
-    cls: tuple[tuple[str, Fraction], ...]
-    generator: tuple[int, ...]
-    exponent: int
-    components: int
-
-
-@dataclass(frozen=True)
-class CoverDef:
-    id: str
-    surface: str
-    group: tuple[int, ...]
-    branch: tuple[BranchDef, ...]
-    reduced_l: tuple[tuple[tuple[int, ...], tuple[tuple[str, Fraction], ...]], ...]
-
-
-@dataclass(frozen=True)
 class WorkbenchFile:
     version: int
-    surfaces: tuple[SurfaceDef, ...]
-    covers: tuple[CoverDef, ...]
-    checks: tuple[dict, ...]  # JSON objects, keys sorted at every level
+    # the JSON objects of the file, keys sorted at every level
+    surfaces: tuple[dict, ...]
+    covers: tuple[dict, ...]
+    checks: tuple[dict, ...]
 
 
-def _parse_script(raw, where: str):
+def _objects(values, where: str) -> list[tuple[str, dict]]:
+    """The JSON objects of a list field, each with its field path."""
+    if not isinstance(values, list) or not all(isinstance(v, dict) for v in values):
+        raise SpecError(f"{where}: expected a list of objects")
+    return [(f"{where}[{i}]", v) for i, v in enumerate(values)]
+
+
+def _script(raw, where: str) -> list:
+    if not isinstance(raw, list):
+        raise SpecError(f"{where}: expected a list of construction steps")
     steps = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, list) or not entry or entry[0] not in _STEP_KINDS:
@@ -83,7 +68,66 @@ def _parse_script(raw, where: str):
         if len(args) != arity or not all(isinstance(a, str) for a in args):
             raise SpecError(f"{where}[{i}]: step {entry[0]} expects {arity} string argument(s)")
         steps.append(ctor(*args))
-    return tuple(steps)
+    return steps
+
+
+def _surface(raw: dict, where: str, seed: int) -> BlowupSurface:
+    """The surface of one `surfaces` entry; its realizations start at `seed`."""
+    blowups = raw.get("blowups")
+    if not isinstance(blowups, list) or not all(isinstance(b, list) and len(b) == 2 and all(
+            isinstance(x, str) for x in b) for b in blowups):
+        raise SpecError(f"{where}.blowups: expected a list of [point, symbol] string pairs")
+    try:
+        return BlowupSurface(
+            _script(raw.get("script"), f"{where}.script"),
+            [tuple(b) for b in blowups],
+            name=_str(raw.get("id"), f"{where}.id"),
+            line_symbol=_str(raw.get("line_symbol", "L"), f"{where}.line_symbol"),
+            seed_policy=SeedPolicy(base=seed),
+        )
+    except (ScriptError, SurfaceError) as exc:
+        field = "script" if isinstance(exc, ScriptError) else "blowups"
+        raise SpecError(f"{where}.{field}: {exc}") from None
+
+
+def _cover(raw: dict, where: str, surface_of) -> CoverSpec:
+    """The cover of one `covers` entry, over the surface that `surface_of`
+    returns for its `surface` id (a KeyError for an unknown id)."""
+    sid = _str(raw.get("surface"), f"{where}.surface")
+    try:
+        base = surface_of(sid)
+    except KeyError:
+        raise SpecError(f"{where}.surface: unknown surface {sid!r}") from None
+    try:
+        group = FiniteAbelianGroup(_ints(raw.get("group"), f"{where}.group"))
+    except ValueError as exc:
+        raise SpecError(f"{where}.group: {exc}") from None
+    branch = []
+    for w, b in _objects(raw.get("branch", []), f"{where}.branch"):
+        name = _str(b.get("name"), f"{w}.name")
+        if any(c.name == name for c in branch):
+            raise SpecError(f"{w}.name: duplicate component name {name!r}")
+        curve = resolve_class(base.lattice, b.get("class"), f"{w}.class")
+        generator = _element(group, b.get("subgroup_generator"), f"{w}.subgroup_generator")
+        exponent = _int(b.get("character_exponent"), f"{w}.character_exponent")
+        try:
+            pair = CyclicPair(group, generator, exponent)
+        except ValueError as exc:
+            trivial = group.element_order(generator) == 1
+            field = "subgroup_generator" if trivial else "character_exponent"
+            raise SpecError(f"{w}.{field}: {exc}") from None
+        components = _int(b.get("components"), f"{w}.components")
+        try:
+            branch.append(BranchComponent(name, curve, pair, components))
+        except CoverDataError as exc:
+            raise SpecError(f"{w}.components: {exc}") from None
+    reduced = tuple(
+        (_element(group, e.get("character"), f"{w}.character"),
+         resolve_class(base.lattice, e.get("class"), f"{w}.class"))
+        for w, e in _objects(raw.get("reduced_L", []), f"{where}.reduced_L")
+    )
+    return CoverSpec(name=_str(raw.get("id"), f"{where}.id"), group=group, base=base,
+                     branch=tuple(branch), reduced_l=reduced)
 
 
 def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
@@ -92,99 +136,38 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
     version = data.get("version")
     if version != FORMAT_VERSION:
         raise SpecError(f"{where}: unrecognized version {version!r}")
-    surfaces = []
-    surface_symbols: dict[str, tuple[str, ...]] = {}
-    for i, raw in enumerate(data.get("surfaces", [])):
-        w = f"{where}.surfaces[{i}]"
-        try:
-            sid = raw["id"]
-            sdef = SurfaceDef(
-                id=sid,
-                line_symbol=raw.get("line_symbol", "L"),
-                script=_parse_script(raw["script"], f"{w}.script"),
-                blowups=tuple((p, s) for p, s in raw["blowups"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"{w}: malformed surface ({exc})") from None
-        if sid in surface_symbols:
-            raise SpecError(f"{w}: duplicate surface id {sid!r}")
-        surfaces.append(sdef)
-        surface_symbols[sid] = sdef.symbols
-    covers = []
+    data = json.loads(json.dumps(data, sort_keys=True))
+    surfaces: dict[str, BlowupSurface] = {}
+    for w, raw in _objects(data.get("surfaces", []), f"{where}.surfaces"):
+        surface = _surface(raw, w, seed=0)
+        if surface.name in surfaces:
+            raise SpecError(f"{w}.id: duplicate surface id {surface.name!r}")
+        surfaces[surface.name] = surface
     cover_ids = set()
-    for i, raw in enumerate(data.get("covers", [])):
-        w = f"{where}.covers[{i}]"
-        try:
-            cid = raw["id"]
-            surface_id = raw["surface"]
-        except (KeyError, TypeError):
-            raise SpecError(f"{w}: missing id or surface") from None
-        group = _ints(raw.get("group"), f"{w}.group")
-        if surface_id not in surface_symbols:
-            raise SpecError(f"{w}: unknown surface {surface_id!r}")
+    for w, raw in _objects(data.get("covers", []), f"{where}.covers"):
+        cid = _cover(raw, w, surfaces.__getitem__).name
         if cid in cover_ids:
-            raise SpecError(f"{w}: duplicate cover id {cid!r}")
+            raise SpecError(f"{w}.id: duplicate cover id {cid!r}")
         cover_ids.add(cid)
-        symbols = surface_symbols[surface_id]
-        branch = []
-        names = set()
-        for j, b in enumerate(raw.get("branch", [])):
-            bw = f"{w}.branch[{j}]"
-            try:
-                bdef = BranchDef(
-                    name=b["name"],
-                    cls=_class_items(b["class"], symbols, f"{bw}.class"),
-                    generator=_ints(b["subgroup_generator"], f"{bw}.subgroup_generator"),
-                    exponent=_int(b["character_exponent"], f"{bw}.character_exponent"),
-                    components=_int(b["components"], f"{bw}.components"),
-                )
-            except (KeyError, TypeError) as exc:
-                raise SpecError(f"{bw}: malformed branch component ({exc})") from None
-            if bdef.name in names:
-                raise SpecError(f"{bw}: duplicate component name {bdef.name!r}")
-            names.add(bdef.name)
-            branch.append(bdef)
-        reduced = []
-        for j, entry in enumerate(raw.get("reduced_L", [])):
-            rw = f"{w}.reduced_L[{j}]"
-            try:
-                chi = _ints(entry["character"], f"{rw}.character")
-                cls = _class_items(entry["class"], symbols, f"{rw}.class")
-            except (KeyError, TypeError) as exc:
-                raise SpecError(f"{rw}: malformed entry ({exc})") from None
-            reduced.append((chi, cls))
-        covers.append(CoverDef(
-            id=cid,
-            surface=surface_id,
-            group=group,
-            branch=tuple(branch),
-            reduced_l=tuple(reduced),
-        ))
-    checks = []
     names = set()
-    for i, raw in enumerate(data.get("checks", [])):
-        w = f"{where}.checks[{i}]"
-        if not isinstance(raw, dict) or "name" not in raw or "kind" not in raw:
-            raise SpecError(f"{w}: a check needs at least 'name' and 'kind'")
-        for field in ("name", "kind", "tag"):
-            if not isinstance(raw.get(field, ""), str):
-                raise SpecError(f"{w}.{field}: expected a string, got {raw[field]!r}")
+    for w, raw in _objects(data.get("checks", []), f"{where}.checks"):
+        for field in ("name", "kind"):
+            _str(raw.get(field), f"{w}.{field}")
+        for field in ("tag", "surface", "cover"):
+            _str(raw.get(field, ""), f"{w}.{field}")
+        if raw["kind"] not in HANDLERS:
+            raise SpecError(f"{w}.kind: unknown check kind {raw['kind']!r}")
         if raw.get("suite", "all") not in SUITES:
             raise SpecError(f"{w}: unknown suite {raw.get('suite')!r}")
         if raw["name"] in names:
             raise SpecError(f"{w}: duplicate check name {raw['name']!r}")
         names.add(raw["name"])
-        if "surface" in raw and raw["surface"] not in surface_symbols:
+        if "surface" in raw and raw["surface"] not in surfaces:
             raise SpecError(f"{w}: unknown surface {raw['surface']!r}")
         if "cover" in raw and raw["cover"] not in cover_ids:
             raise SpecError(f"{w}: unknown cover {raw['cover']!r}")
-        checks.append(json.loads(json.dumps(raw, sort_keys=True)))
-    return WorkbenchFile(
-        version=version,
-        surfaces=tuple(surfaces),
-        covers=tuple(covers),
-        checks=tuple(checks),
-    )
+    return WorkbenchFile(version,
+                         *(tuple(data.get(key, [])) for key in ("surfaces", "covers", "checks")))
 
 
 def parse_spec(path) -> WorkbenchFile:
@@ -196,6 +179,14 @@ def parse_spec(path) -> WorkbenchFile:
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     return parse_data(data, where=str(path))
+
+
+def _entry(entries, kind: str, ident: str) -> tuple[dict, str]:
+    """The entry of a file with this id, and its field path."""
+    for i, raw in enumerate(entries):
+        if raw["id"] == ident:
+            return raw, f"{kind}s[{i}]"
+    raise SpecError(f"unknown {kind} {ident!r}")
 
 
 class Workbench:
@@ -210,41 +201,12 @@ class Workbench:
 
     def surface(self, sid: str) -> BlowupSurface:
         if sid not in self._surfaces:
-            sdef = next((s for s in self.file.surfaces if s.id == sid), None)
-            if sdef is None:
-                raise SpecError(f"unknown surface {sid!r}")
-            self._surfaces[sid] = BlowupSurface(
-                list(sdef.script),
-                list(sdef.blowups),
-                name=sdef.id,
-                line_symbol=sdef.line_symbol,
-                seed_policy=SeedPolicy(base=self.seed),
-            )
+            self._surfaces[sid] = _surface(*_entry(self.file.surfaces, "surface", sid), self.seed)
         return self._surfaces[sid]
 
     def cover(self, cid: str) -> CoverSpec:
         if cid not in self._covers:
-            cdef = next((c for c in self.file.covers if c.id == cid), None)
-            if cdef is None:
-                raise SpecError(f"unknown cover {cid!r}")
-            base = self.surface(cdef.surface)
-            group = FiniteAbelianGroup(cdef.group)
-            branch = tuple(
-                BranchComponent(
-                    name=b.name,
-                    curve=base.lattice.divisor(dict(b.cls)),
-                    pair=CyclicPair(group, b.generator, b.exponent),
-                    components=b.components,
-                )
-                for b in cdef.branch
-            )
-            reduced = tuple(
-                (group.reduce(chi), base.lattice.divisor(dict(cls)))
-                for chi, cls in cdef.reduced_l
-            )
-            self._covers[cid] = CoverSpec(
-                name=cdef.id, group=group, base=base, branch=branch, reduced_l=reduced,
-            )
+            self._covers[cid] = _cover(*_entry(self.file.covers, "cover", cid), self.surface)
         return self._covers[cid]
 
     def validation(self, cid: str) -> list[Check]:

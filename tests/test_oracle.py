@@ -5,7 +5,7 @@ import pytest
 
 from scw.oracle import (FreeLine, FreePoint, IntersectionPoint, LineThrough,
                         PointOnLine, RealizationError, ScriptError, SeedPolicy,
-                        check_script, collinear_sets, h0_from_realization,
+                        check_script, h0_from_realization,
                         realize_configuration)
 from scw.surface import BlowupSurface
 

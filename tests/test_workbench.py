@@ -13,53 +13,6 @@ from scw.workbench import (SpecError, load_bundled, paper_suite, parse_data,
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC / "scw" / "fixtures"
 
-_STEP_NAMES = {ctor: kind for kind, (ctor, _arity) in workbench._STEP_KINDS.items()}
-
-
-def _rat_json(x):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def serialize(wf: workbench.WorkbenchFile) -> dict:
-    """The workbench JSON of a parsed file, for the round-trip test."""
-    return {
-        "version": wf.version,
-        "surfaces": [
-            {
-                "id": s.id,
-                "line_symbol": s.line_symbol,
-                "script": [[_STEP_NAMES[type(step)], *dataclasses.astuple(step)]
-                           for step in s.script],
-                "blowups": [[p, sym] for p, sym in s.blowups],
-            }
-            for s in wf.surfaces
-        ],
-        "covers": [
-            {
-                "id": c.id,
-                "surface": c.surface,
-                "group": list(c.group),
-                "branch": [
-                    {
-                        "name": b.name,
-                        "class": {k: _rat_json(v) for k, v in b.cls},
-                        "subgroup_generator": list(b.generator),
-                        "character_exponent": b.exponent,
-                        "components": b.components,
-                    }
-                    for b in c.branch
-                ],
-                "reduced_L": [
-                    {"character": list(chi), "class": {k: _rat_json(v) for k, v in cls}}
-                    for chi, cls in c.reduced_l
-                ],
-            }
-            for c in wf.covers
-        ],
-        "checks": list(wf.checks),
-    }
-
-
 def test_parse_bundled_fixtures():
     for name in workbench.bundled_fixture_names():
         wf = load_bundled(name)
@@ -71,9 +24,9 @@ def test_parse_bundled_fixtures():
 def test_round_trip():
     for name in workbench.bundled_fixture_names():
         wf = load_bundled(name)
-        again = parse_data(serialize(wf), where=name)
-        assert again == wf
-        assert serialize(again) == serialize(wf)
+        data = json.loads(json.dumps(dataclasses.asdict(wf)))
+        assert data == json.loads((FIXTURES / name).read_text())
+        assert parse_data(data, where=name) == wf
 
 
 def test_parse_errors(tmp_path):
@@ -143,6 +96,83 @@ def test_non_integer_cover_fields_rejected(cover, field):
     assert field in str(err.value)
 
 
+def _one_surface(**surface):
+    return {"version": 1, "surfaces": [{"id": "S", "script": [["free_point", "p"]],
+                                        "blowups": [["p", "E1"]], **surface}]}
+
+
+@pytest.mark.parametrize("data, field", [
+    (_one_surface(blowups=[["p", "E1"], ["nowhere", "E2"]]), "surfaces[0].blowups"),
+    (_one_surface(blowups=[["p", "E1"], ["p", "E2"]]), "surfaces[0].blowups"),
+    (_one_surface(blowups=[["p", "E1", "E2"]]), "surfaces[0].blowups"),
+    (_one_surface(script=[["line_through", "m", "p", "q"]]), "surfaces[0].script"),
+    (_one_surface(id=7), "surfaces[0].id"),
+    (_one_cover(surface="T", group=[2]), "covers[0].surface"),
+    (_one_cover(group=[0]), "covers[0].group"),
+    (_one_cover(group=[2], branch=[{**_BRANCH, "subgroup_generator": [0]}]),
+     "covers[0].branch[0].subgroup_generator"),
+    (_one_cover(group=[4], branch=[{**_BRANCH, "character_exponent": 2}]),
+     "covers[0].branch[0].character_exponent"),
+    (_one_cover(group=[2], branch=[{**_BRANCH, "components": 0}]),
+     "covers[0].branch[0].components"),
+    (_one_cover(group=[2], branch=[_BRANCH, _BRANCH]), "covers[0].branch[1].name"),
+    (_one_cover(group=[2], branch=[{**_BRANCH, "subgroup_generator": [1, 0]}]),
+     "covers[0].branch[0].subgroup_generator"),
+    (_one_cover(group=[2, 4], branch=[{**_BRANCH, "subgroup_generator": [1]}]),
+     "covers[0].branch[0].subgroup_generator"),
+    (_one_cover(group=[2], reduced_L=[{"character": [1, 1], "class": {"L": 1}}]),
+     "covers[0].reduced_L[0].character"),
+    (_one_cover(group=[2, 4], reduced_L=[{"character": [1], "class": {"L": 1}}]),
+     "covers[0].reduced_L[0].character"),
+])
+def test_invalid_surface_or_cover_names_the_field(data, field):
+    with pytest.raises(SpecError) as err:
+        parse_data(data)
+    assert f"workbench.{field}:" in str(err.value)
+
+
+def test_invalid_cover_data_exits_2_before_any_check(tmp_path, capsys):
+    from scw.cli import main
+
+    raw = json.loads((FIXTURES / "inoue_bidouble.json").read_text())
+    raw["surfaces"][0]["blowups"].append(["nowhere", "E9"])
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{path}.surfaces[0].blowups: blown-up point 'nowhere'" in err
+
+
+def test_fault_is_refused_and_refutation_fails():
+    # m and n both pass through a, so x = m.n is a itself: no realization
+    # separates the blown-up points a and x
+    wf = parse_data({
+        "version": 1,
+        "surfaces": [{"id": "S", "script": [
+            ["free_point", "a"], ["free_point", "b"], ["free_point", "c"],
+            ["line_through", "m", "a", "b"], ["line_through", "n", "a", "c"],
+            ["intersection_point", "x", "m", "n"]],
+            "blowups": [["a", "E1"], ["x", "E2"]]}],
+        "checks": [
+            {"name": "count", "kind": "catalog_counts", "surface": "S",
+             "expected_minus_one": 3, "expected_minus_two": 0},
+            {"name": "lines", "kind": "collinear_sets", "surface": "S", "expected": []},
+            {"name": "halve", "kind": "solve_divide", "surface": "S", "class": {"L": 1},
+             "n": 2, "expected_class": {"L": 1}},
+        ],
+    })
+    report = run_suite(wf)
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["count"].status == "unsupported"
+    assert by_name["count"].computed.startswith("RealizationError: ")
+    assert "marked points 'a' and 'x' coincide" in by_name["count"].computed
+    assert by_name["lines"].status == "pass"
+    assert by_name["halve"].status == "fail"
+    assert by_name["halve"].computed.startswith("NotDivisible: ")
+    assert not report.all_passed
+
+
 def test_cover_derivations_run_once_per_spec(monkeypatch):
     from collections import Counter
 
@@ -172,6 +202,12 @@ def test_duplicate_check_names_rejected():
                 {"name": "x", "kind": "range_filter", "k2": 7, "expected": [1, 3, 5, 7]},
             ],
         })
+
+
+def test_unknown_check_kind_rejected():
+    with pytest.raises(SpecError) as err:
+        parse_data(_one_check_file(kind="no_such_kind"))
+    assert "checks[0].kind: unknown check kind 'no_such_kind'" in str(err.value)
 
 
 def test_dangling_check_references_rejected():
@@ -261,8 +297,8 @@ def test_untagged_checks_keep_their_inner_tags():
     }
 
 
-def _bidouble_with(name, **params):
-    raw = json.loads((FIXTURES / "inoue_bidouble.json").read_text())
+def _fixture_with(fixture, name, **params):
+    raw = json.loads((FIXTURES / f"{fixture}.json").read_text())
     for c in raw["checks"]:
         if c["name"] == name:
             c.update(params)
@@ -274,16 +310,26 @@ def _one_check_file(**check):
 
 
 @pytest.mark.parametrize("data, name, field", [
-    (_bidouble_with("W/catalog-counts", expected_minus_two=4.9),
+    (_fixture_with("inoue_bidouble", "W/catalog-counts", expected_minus_two=4.9),
      "W/catalog-counts", "expected_minus_two"),
-    (_bidouble_with("W/halve-Delta2+Delta3", n=2.5), "W/halve-Delta2+Delta3", "n"),
-    (_bidouble_with("W/gamma2-self-intersection", lhs={"L": True}),
+    (_fixture_with("inoue_bidouble", "W/halve-Delta2+Delta3", n=2.5), "W/halve-Delta2+Delta3", "n"),
+    (_fixture_with("inoue_bidouble", "W/gamma2-self-intersection", lhs={"L": True}),
      "W/gamma2-self-intersection", "lhs.L"),
     (_one_check_file(kind="common_involution", orders=[2, 2, 2], n=4, expected="false"),
      "x", "expected"),
     (_one_check_file(kind="hodge_bound", k2=7, kd=3, d2=1, expected="no"), "x", "expected"),
     (_one_check_file(kind="abstract_self_intersection", basis=["K", "F"],
                  gram=[[7, 0.5], [0.5, 1]], **{"class": {"K": 1}}, expected=7), "x", "gram"),
+    (_fixture_with("inoue_bidouble", "bidouble/pullback-Z1", component="Nope"),
+     "bidouble/pullback-Z1", "component"),
+    (_fixture_with("inoue_bidouble", "bidouble/preimage-consistency", components=["Z1", "Nope"]),
+     "bidouble/preimage-consistency", "components"),
+    (_fixture_with("inoue_bidouble", "bidouble/minimal-model", contract=["Nope"]),
+     "bidouble/minimal-model", "contract"),
+    (_fixture_with("inoue_z2z4", "z2z4/derived-rho2", subtract_components=["M1", "Nope"]),
+     "z2z4/derived-rho2", "subtract_components"),
+    (_fixture_with("inoue_z2z4", "z2z4/quotient", character=[0, 2, 0]), "z2z4/quotient",
+     "character"),
 ])
 def test_malformed_check_value_is_an_input_error(tmp_path, capsys, data, name, field):
     from scw.cli import main
@@ -297,7 +343,7 @@ def test_malformed_check_value_is_an_input_error(tmp_path, capsys, data, name, f
 
 @pytest.mark.parametrize("field, value", [
     ("tag", 5), ("tag", ["a"]), ("tag", None), ("name", ["a"]), ("name", 5),
-    ("kind", ["a"]), ("kind", 5),
+    ("kind", ["a"]), ("kind", 5), ("surface", ["S"]), ("cover", 5),
 ])
 def test_non_string_check_name_or_tag_is_an_input_error(tmp_path, capsys, field, value):
     from scw.cli import main
