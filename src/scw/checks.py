@@ -1,17 +1,22 @@
 """Check handlers: the small declarative language used by workbench files.
 
-Each check is a JSON object with a unique `name`, a `suite`, a citation
-`tag`, a `kind` selecting the handler, and handler-specific parameters.
-Handlers compute exact values and compare them with the expected data
-frozen in the file.  Every value a handler reads from the file goes
-through one of the readers below, which raise `SpecError` naming the field.
-`run_check` makes the harness decisions once for every handler; see there.
+Each check is a JSON object with a unique `name`, a `kind` selecting the
+handler, an optional `suite` and citation `tag`, and the fields of its kind:
+the handler's parameters after `wb`, required unless they have a default
+(`class_` reads the field `class`).  Handlers compute exact values and
+compare them with the expected data frozen in the file, returning a list
+of `Check`.  Every value a handler reads from the file goes through one of
+the readers below, which raise `SpecError` naming the field.  `bind_checks`
+holds each entry to its fields when the file is parsed, and `run_check`
+makes the harness decisions once for every handler; see there.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 from fractions import Fraction
+from keyword import iskeyword
 
 from . import cover as cover_mod
 from . import groups as groups_mod
@@ -22,6 +27,8 @@ from .lattice import (DivisorClass, NotDivisible, Unsolvable, abstract_lattice,
                       solve_linear)
 from .report import FAIL, PASS, UNSUPPORTED, Check, equality_check
 
+SUITES = ("lattice", "surface", "cover", "lefschetz", "all")
+
 
 class SpecError(Exception):
     """Schema or semantic error in a workbench file (exit code 2)."""
@@ -29,6 +36,24 @@ class SpecError(Exception):
 
 # ---------------------------------------------------------------------------
 # readers for the values of a workbench file
+
+
+def _fields(obj, where: str, required, optional=()) -> dict:
+    """The JSON object `obj`, refused naming the field when it lacks a
+    required field, has a field it does not know, or holds an explicit null
+    in an optional field, which would otherwise read as absent."""
+    if not isinstance(obj, dict):
+        raise SpecError(f"{where}: expected an object, got {obj!r}")
+    for key in required:
+        if key not in obj:
+            raise SpecError(f"{where}.{key}: missing field")
+    for key, value in obj.items():
+        if key not in required and key not in optional:
+            known = ", ".join(sorted((*required, *optional)))
+            raise SpecError(f"{where}.{key}: unknown field; known fields: {known}")
+        if value is None and key in optional:
+            raise SpecError(f"{where}.{key}: expected a value, got null")
+    return obj
 
 
 def _rat(value, where: str) -> Fraction:
@@ -67,6 +92,13 @@ def _str(value, where: str) -> str:
     raise SpecError(f"{where}: expected a string, got {value!r}")
 
 
+def _choice(value, known, where: str) -> str:
+    """One of the names in `known`."""
+    if isinstance(value, str) and value in known:
+        return value
+    raise SpecError(f"{where}: expected one of {', '.join(sorted(known))}, got {value!r}")
+
+
 def resolve_class(lattice, class_map, where: str) -> DivisorClass:
     if not isinstance(class_map, dict):
         raise SpecError(f"{where}: expected a symbol->coefficient map")
@@ -100,111 +132,102 @@ def _expected_class_set(surface, maps, where: str):
     return sorted(format_class(resolve_class(surface.lattice, m, where)) for m in maps)
 
 
-def _abstract_lattice(p):
-    return abstract_lattice(p["basis"], [[_rat(x, "gram") for x in row] for row in p["gram"]])
+def _abstract_lattice(basis, gram):
+    return abstract_lattice(basis, [[_rat(x, "gram") for x in row] for row in gram])
 
 
 # ---------------------------------------------------------------------------
 # handlers: lattice suite
 
 
-def check_intersect(wb, p) -> list[Check]:
-    s = wb.surface(p["surface"])
-    lhs = resolve_class(s.lattice, p["lhs"], "lhs")
-    rhs = resolve_class(s.lattice, p["rhs"], "rhs")
-    return [equality_check(p["name"], lhs.dot(rhs), _rat(p["expected"], "expected"))]
+def check_intersect(wb, name, surface, lhs, rhs, expected):
+    lhs = resolve_class(surface.lattice, lhs, "lhs")
+    rhs = resolve_class(surface.lattice, rhs, "rhs")
+    return [equality_check(name, lhs.dot(rhs), _rat(expected, "expected"))]
 
 
-def check_abstract_self_intersection(wb, p) -> list[Check]:
-    lat = _abstract_lattice(p)
-    cls = resolve_class(lat, p["class"], "class")
-    value = cls.dot(cls) / _rat(p.get("divide", 1), "divide")
-    return [equality_check(p["name"], value, _rat(p["expected"], "expected"))]
+def check_abstract_self_intersection(wb, name, basis, gram, class_, expected, divide=1):
+    lat = _abstract_lattice(basis, gram)
+    cls = resolve_class(lat, class_, "class")
+    value = cls.dot(cls) / _rat(divide, "divide")
+    return [equality_check(name, value, _rat(expected, "expected"))]
 
 
-def check_abstract_adjunction_genus(wb, p) -> list[Check]:
-    lat = _abstract_lattice(p)
-    cls = resolve_class(lat, p["class"], "class")
-    k = resolve_class(lat, p["k_class"], "k_class")
-    return [equality_check(p["name"], adjunction_genus(cls, k), _rat(p["expected"], "expected"))]
+def check_abstract_adjunction_genus(wb, name, basis, gram, class_, k_class, expected):
+    lat = _abstract_lattice(basis, gram)
+    cls = resolve_class(lat, class_, "class")
+    k = resolve_class(lat, k_class, "k_class")
+    return [equality_check(name, adjunction_genus(cls, k), _rat(expected, "expected"))]
 
 
-def check_gram_det(wb, p) -> list[Check]:
-    det = gram_det([[_rat(x, "matrix") for x in row] for row in p["matrix"]])
-    return [equality_check(p["name"], det, _rat(p["expected"], "expected"))]
+def check_gram_det(wb, name, matrix, expected):
+    det = gram_det([[_rat(x, "matrix") for x in row] for row in matrix])
+    return [equality_check(name, det, _rat(expected, "expected"))]
 
 
-def check_blowup_basis_det(wb, p) -> list[Check]:
-    s = wb.surface(p["surface"])
-    classes = [s.lattice.divisor({name: 1}) for name in s.lattice.names]
-    expected = Fraction((-1) ** len(s.lattice.exceptional_names))
-    return [equality_check(p["name"], gram_det(classes), expected)]
+def check_blowup_basis_det(wb, name, surface):
+    classes = [surface.lattice.divisor({sym: 1}) for sym in surface.lattice.names]
+    expected = Fraction((-1) ** len(surface.lattice.exceptional_names))
+    return [equality_check(name, gram_det(classes), expected)]
 
 
-def check_adjunction_genus(wb, p) -> list[Check]:
-    s = wb.surface(p["surface"])
-    cls = resolve_class(s.lattice, p["class"], "class")
-    return [equality_check(p["name"], adjunction_genus(cls, s.canonical),
-                           _rat(p["expected"], "expected"))]
+def check_adjunction_genus(wb, name, surface, class_, expected):
+    cls = resolve_class(surface.lattice, class_, "class")
+    return [equality_check(name, adjunction_genus(cls, surface.canonical),
+                           _rat(expected, "expected"))]
 
 
-def check_solve_divide(wb, p) -> list[Check]:
-    s = wb.surface(p["surface"])
-    cls = resolve_class(s.lattice, p["class"], "class")
-    got = solve_divide(cls, _int(p["n"], "n"))
-    expected = resolve_class(s.lattice, p["expected_class"], "expected_class")
-    return [equality_check(p["name"], format_class(got), format_class(expected))]
+def check_solve_divide(wb, name, surface, class_, n, expected_class):
+    cls = resolve_class(surface.lattice, class_, "class")
+    got = solve_divide(cls, _int(n, "n"))
+    expected = resolve_class(surface.lattice, expected_class, "expected_class")
+    return [equality_check(name, format_class(got), format_class(expected))]
 
 
-def check_hodge_bound(wb, p) -> list[Check]:
-    k2, kd = _rat(p["k2"], "k2"), _rat(p["kd"], "kd")
-    if "d2" in p:
-        verdict = hodge_index_bound(k2, kd, _rat(p["d2"], "d2"))
-        return [equality_check(p["name"], verdict, _bool(p["expected"], "expected"))]
+def check_hodge_bound(wb, name, k2, kd, expected, d2=None):
+    k2, kd = _rat(k2, "k2"), _rat(kd, "kd")
+    if d2 is not None:
+        verdict = hodge_index_bound(k2, kd, _rat(d2, "d2"))
+        return [equality_check(name, verdict, _bool(expected, "expected"))]
     bound = hodge_index_bound(k2, kd)
     floor = bound.numerator // bound.denominator
-    return [equality_check(p["name"], floor, _int(p["expected"], "expected"))]
+    return [equality_check(name, floor, _int(expected, "expected"))]
 
 
 # ---------------------------------------------------------------------------
 # handlers: surface suite
 
 
-def check_collinear_sets(wb, p) -> list[Check]:
-    s = wb.surface(p["surface"])
-    got = sorted(sorted(group) for group in s.collinear_sets)
-    expected = sorted(sorted(group) for group in p["expected"])
-    return [equality_check(p["name"], got, expected)]
+def check_collinear_sets(wb, name, surface, expected):
+    got = sorted(sorted(group) for group in surface.collinear_sets)
+    expected = sorted(sorted(group) for group in expected)
+    return [equality_check(name, got, expected)]
 
 
-def check_minus_two_catalog(wb, p) -> list[Check]:
-    s = wb.surface(p["surface"])
-    expected = _expected_class_set(s, p["expected_classes"], "expected_classes")
-    return [equality_check(p["name"], _class_set(surface_mod.minus_two_curves(s)), expected)]
+def check_minus_two_catalog(wb, name, surface, expected_classes):
+    expected = _expected_class_set(surface, expected_classes, "expected_classes")
+    return [equality_check(name, _class_set(surface_mod.minus_two_curves(surface)), expected)]
 
 
-def check_isolated_minus_one(wb, p) -> list[Check]:
-    s = wb.surface(p["surface"])
-    expected = _expected_class_set(s, p["expected_classes"], "expected_classes")
-    return [equality_check(p["name"], _class_set(surface_mod.isolated_minus_one_curves(s)),
+def check_isolated_minus_one(wb, name, surface, expected_classes):
+    expected = _expected_class_set(surface, expected_classes, "expected_classes")
+    return [equality_check(name, _class_set(surface_mod.isolated_minus_one_curves(surface)),
                            expected)]
 
 
-def check_catalog_counts(wb, p) -> list[Check]:
-    s = wb.surface(p["surface"])
-    expected = (_int(p["expected_minus_one"], "expected_minus_one"),
-                _int(p["expected_minus_two"], "expected_minus_two"))
-    got = (len(surface_mod.minus_one_curves(s)), len(surface_mod.minus_two_curves(s)))
-    return [equality_check(p["name"], got, expected)]
+def check_catalog_counts(wb, name, surface, expected_minus_one, expected_minus_two):
+    expected = (_int(expected_minus_one, "expected_minus_one"),
+                _int(expected_minus_two, "expected_minus_two"))
+    got = (len(surface_mod.minus_one_curves(surface)), len(surface_mod.minus_two_curves(surface)))
+    return [equality_check(name, got, expected)]
 
 
-def check_pencils_include(wb, p) -> list[Check]:
-    s = wb.surface(p["surface"])
-    classes = [resolve_class(s.lattice, m, "classes") for m in p["classes"]]
-    found = {pen.cls.coeffs for pen in surface_mod.find_pencils(s)}
-    missing = [m for m, cls in zip(p["classes"], classes) if cls.coeffs not in found]
+def check_pencils_include(wb, name, surface, classes):
+    resolved = [resolve_class(surface.lattice, m, "classes") for m in classes]
+    found = {pen.cls.coeffs for pen in surface_mod.find_pencils(surface)}
+    missing = [m for m, cls in zip(classes, resolved) if cls.coeffs not in found]
     status = PASS if not missing else FAIL
-    return [Check(p["name"], status,
+    return [Check(name, status,
                   computed="all present" if not missing else f"missing {missing}",
                   expected="pencil classes present")]
 
@@ -213,43 +236,45 @@ def _decomposition_key(parts):
     return tuple(sorted((format_class(rec.cls), mult) for rec, mult in parts))
 
 
-def check_singular_members(wb, p) -> list[Check]:
-    s = wb.surface(p["surface"])
-    pencil = surface_mod.Pencil(resolve_class(s.lattice, p["pencil"], "pencil"))
+def check_singular_members(wb, name, surface, pencil, expected):
+    pencil = surface_mod.Pencil(resolve_class(surface.lattice, pencil, "pencil"))
+    for i, decomp in enumerate(expected):
+        for j, part in enumerate(decomp):
+            _fields(part, f"expected[{i}][{j}]", ("class", "multiplicity"))
     expected = sorted(
-        tuple(sorted((format_class(resolve_class(s.lattice, part["class"], "expected.class")),
+        tuple(sorted((format_class(resolve_class(surface.lattice, part["class"], "expected.class")),
                       _int(part["multiplicity"], "expected.multiplicity"))
                      for part in decomp))
-        for decomp in p["expected"]
+        for decomp in expected
     )
-    got = sorted(_decomposition_key(d) for d in surface_mod.singular_members(s, pencil))
-    return [equality_check(p["name"], got, expected)]
+    got = sorted(_decomposition_key(d) for d in surface_mod.singular_members(surface, pencil))
+    return [equality_check(name, got, expected)]
 
 
-def check_contract(wb, p) -> list[Check]:
-    s = wb.surface(p["surface"])
-    classes = [resolve_class(s.lattice, m, "classes") for m in p["classes"]]
-    expected = (_int(p["expected_nodes"], "expected_nodes"),
-                str(_rat(p["expected_k2_after"], "expected_k2_after")))
-    by_class = s.catalog_by_class()
+def check_contract(wb, name, surface, classes, expected_nodes, expected_k2_after,
+                   expected_disjoint_remainder=None):
+    resolved = [resolve_class(surface.lattice, m, "classes") for m in classes]
+    expected = (_int(expected_nodes, "expected_nodes"),
+                str(_rat(expected_k2_after, "expected_k2_after")))
+    by_class = surface.catalog_by_class()
     recs = []
-    for cls in classes:
+    for cls in resolved:
         rec = by_class.get(cls.coeffs)
         if rec is None:
-            return [Check(p["name"], FAIL, f"{format_class(cls)} not in catalog",
-                          "catalogued curve")]
+            return [Check(name, FAIL, f"{format_class(cls)} not in catalog", "catalogued curve")]
         recs.append(rec)
-    record = surface_mod.contract(s, recs)
+    record = surface_mod.contract(surface, recs)
     got = (record.nodes, str(record.k2_after))
-    checks = [equality_check(p["name"], got, expected)]
-    if "expected_disjoint_remainder" in p:
-        remainder = _expected_class_set(s, p["expected_disjoint_remainder"],
+    checks = [equality_check(name, got, expected)]
+    if expected_disjoint_remainder is not None:
+        remainder = _expected_class_set(surface, expected_disjoint_remainder,
                                         "expected_disjoint_remainder")
         contracted = {r.cls.coeffs for r in recs}
-        rest = [r for r in surface_mod.minus_two_curves(s) if r.cls.coeffs not in contracted]
+        rest = [r for r in surface_mod.minus_two_curves(surface)
+                if r.cls.coeffs not in contracted]
         ok = all(r.cls.dot(c.cls) == 0 for r in rest for c in recs)
         names = sorted(format_class(r.cls) for r in rest)
-        checks.append(equality_check(f"{p['name']}/remainder", (names, ok), (remainder, True)))
+        checks.append(equality_check(f"{name}/remainder", (names, ok), (remainder, True)))
     return checks
 
 
@@ -257,73 +282,72 @@ def check_contract(wb, p) -> list[Check]:
 # handlers: cover suite
 
 
-def check_cover_relations(wb, p) -> list[Check]:
-    return list(wb.validation(p["cover"]))
+def check_cover_relations(wb, name, cover):
+    return list(wb.validation(cover.name))
 
 
-def check_relation_sum(wb, p) -> list[Check]:
-    spec = wb.cover(p["cover"])
-    chi = _element(spec.group, p.get("character"), "character")
-    expected = resolve_class(spec.base.lattice, p["expected_class"], "expected_class")
-    m = spec.group.element_order(chi)
-    rhs = cover_mod.relation_rhs(spec, chi)
-    out = [equality_check(f"{p['name']}/sum", format_class(rhs), format_class(expected))]
-    given = dict(spec.reduced_l)
+def check_relation_sum(wb, name, cover, character, expected_class):
+    chi = _element(cover.group, character, "character")
+    expected = resolve_class(cover.base.lattice, expected_class, "expected_class")
+    m = cover.group.element_order(chi)
+    rhs = cover_mod.relation_rhs(cover, chi)
+    out = [equality_check(f"{name}/sum", format_class(rhs), format_class(expected))]
+    given = dict(cover.reduced_l)
     if chi in given:
-        out.append(equality_check(f"{p['name']}/equals-{m}L", format_class(m * given[chi]),
+        out.append(equality_check(f"{name}/equals-{m}L", format_class(m * given[chi]),
                                   format_class(expected)))
     return out
 
 
-def check_derived_class(wb, p) -> list[Check]:
-    spec = wb.cover(p["cover"])
-    derived = spec.all_l
-    chi = _element(spec.group, p.get("character"), "character")
+def check_derived_class(wb, name, cover, character, expected_class=None, minuend=None,
+                        subtract_components=None):
+    derived = cover.all_l
+    chi = _element(cover.group, character, "character")
     got = derived[chi]
     checks = []
-    if "expected_class" in p:
-        expected = resolve_class(spec.base.lattice, p["expected_class"], "expected_class")
-        checks.append(equality_check(p["name"], format_class(got), format_class(expected)))
-    if "minuend" in p:
-        base_chi = _element(spec.group, p["minuend"].get("character"), "minuend.character")
-        mult = _int(p["minuend"]["multiple"], "minuend.multiple")
+    if expected_class is not None:
+        expected = resolve_class(cover.base.lattice, expected_class, "expected_class")
+        checks.append(equality_check(name, format_class(got), format_class(expected)))
+    if minuend is not None or subtract_components is not None:
+        _fields(minuend, "minuend", ("character", "multiple"))
+        base_chi = _element(cover.group, minuend["character"], "minuend.character")
+        mult = _int(minuend["multiple"], "minuend.multiple")
         combo = mult * derived[base_chi]
-        for comp in _components(spec, p.get("subtract_components"), "subtract_components"):
+        for comp in _components(cover, subtract_components, "subtract_components"):
             combo = combo - comp.curve
-        checks.append(equality_check(f"{p['name']}/combination", format_class(got),
+        checks.append(equality_check(f"{name}/combination", format_class(got),
                                      format_class(combo)))
     return checks
 
 
-def check_solve_matches_derived(wb, p) -> list[Check]:
-    spec = wb.cover(p["cover"])
-    solution = solve_linear(cover_mod.building_data_relations(spec))
-    derived = spec.all_l
+def check_solve_matches_derived(wb, name, cover):
+    solution = solve_linear(cover_mod.building_data_relations(cover))
     ok = solution.degrees_of_freedom == 0
     mismatches = []
-    for chi, cls in derived.items():
-        if chi == spec.group.identity():
+    for chi, cls in cover.all_l.items():
+        if chi == cover.group.identity():
             continue
-        name = cover_mod.character_unknown_name(chi)
-        if solution.classes[name] != cls:
-            mismatches.append(name)
+        unknown = cover_mod.character_unknown_name(chi)
+        if solution.classes[unknown] != cls:
+            mismatches.append(unknown)
     ok = ok and not mismatches
-    return [Check(p["name"], PASS if ok else FAIL,
+    return [Check(name, PASS if ok else FAIL,
                   computed=("unique solution matching the derived sheaves" if ok
                             else f"dof={solution.degrees_of_freedom}, mismatches={mismatches}"),
                   expected="solver agrees with the pair-rule derivation")]
 
 
-def check_branch_points(wb, p) -> list[Check]:
-    spec = wb.cover(p["cover"])
+def check_branch_points(wb, name, cover, expected_nodes, expected_total_nodes):
+    for i, n in enumerate(expected_nodes):
+        _fields(n, f"expected_nodes[{i}]", ("pair", "points", "preimages", "inertia_order"))
     expected_nodes = sorted(
         (tuple(sorted(n["pair"])), _int(n["points"], "expected_nodes.points"),
          _int(n["preimages"], "expected_nodes.preimages"),
          _int(n["inertia_order"], "expected_nodes.inertia_order"))
-        for n in p["expected_nodes"]
+        for n in expected_nodes
     )
-    expected_total = _int(p["expected_total_nodes"], "expected_total_nodes")
-    analyses = spec.branch_points
+    expected_total = _int(expected_total_nodes, "expected_total_nodes")
+    analyses = cover.branch_points
     nodes = sorted(
         (tuple(sorted(a.location)), a.crossing_points, a.preimage_count, a.inertia_order)
         for a in analyses if a.verdict == cover_mod.VERDICT_NODE_A1
@@ -333,34 +357,31 @@ def check_branch_points(wb, p) -> list[Check]:
         for a in analyses if a.verdict != cover_mod.VERDICT_NODE_A1
     )
     return [
-        equality_check(f"{p['name']}/nodes", nodes, expected_nodes),
-        equality_check(f"{p['name']}/others-smooth", others_smooth, True),
-        equality_check(f"{p['name']}/total-nodes", cover_mod.node_count(spec), expected_total),
+        equality_check(f"{name}/nodes", nodes, expected_nodes),
+        equality_check(f"{name}/others-smooth", others_smooth, True),
+        equality_check(f"{name}/total-nodes", cover_mod.node_count(cover), expected_total),
     ]
 
 
-def check_pullback(wb, p) -> list[Check]:
-    spec = wb.cover(p["cover"])
-    e = p["expected"]
+def check_pullback(wb, name, cover, component, expected):
+    e = _fields(expected, "expected", ("e", "n", "d", "s"))
     expected = (_int(e["e"], "expected.e"), _int(e["n"], "expected.n"),
                 _int(e["d"], "expected.d"), str(_rat(e["s"], "expected.s")))
-    comp, = _components(spec, [p.get("component")], "component")
-    pb = cover_mod.pullback(spec, comp)
+    comp, = _components(cover, [component], "component")
+    pb = cover_mod.pullback(cover, comp)
     got = (pb.ramification_multiplicity, pb.components, pb.map_degree, str(pb.self_intersection))
-    return [equality_check(p["name"], got, expected)]
+    return [equality_check(name, got, expected)]
 
 
-def check_preimage_consistency(wb, p) -> list[Check]:
-    spec = wb.cover(p["cover"])
-    names = p.get("components")
-    comps = spec.branch if names in (None, "all") else _components(spec, names, "components")
+def check_preimage_consistency(wb, name, cover, components="all"):
+    comps = cover.branch if components == "all" else _components(cover, components, "components")
     out = []
     for comp in comps:
         if comp.curve.is_zero:
             continue
-        rep = cover_mod.preimage_consistency(spec, comp)
+        rep = cover_mod.preimage_consistency(cover, comp)
         out.append(Check(
-            f"{p['name']}/{comp.name}",
+            f"{name}/{comp.name}",
             PASS if rep.ok else FAIL,
             computed=f"d={rep.map_degree}, r={rep.ramification}, genus={rep.hurwitz_genus} ({rep.reason})",
             expected="asserted component count is arithmetically consistent",
@@ -368,58 +389,55 @@ def check_preimage_consistency(wb, p) -> list[Check]:
     return out
 
 
-def check_canonical_cover(wb, p) -> list[Check]:
-    spec = wb.cover(p["cover"])
-    expected_k2 = _rat(p["expected_k2"], "expected_k2")
-    cls, k2 = cover_mod.canonical_cover(spec, _int(p["n"], "n"))
-    checks = [equality_check(f"{p['name']}/k2", k2, expected_k2)]
-    if "expected_class" in p:
-        expected = resolve_class(spec.base.lattice, p["expected_class"], "expected_class")
-        checks.append(equality_check(f"{p['name']}/class", format_class(cls),
+def check_canonical_cover(wb, name, cover, n, expected_k2, expected_class=None):
+    expected_k2 = _rat(expected_k2, "expected_k2")
+    cls, k2 = cover_mod.canonical_cover(cover, _int(n, "n"))
+    checks = [equality_check(f"{name}/k2", k2, expected_k2)]
+    if expected_class is not None:
+        expected = resolve_class(cover.base.lattice, expected_class, "expected_class")
+        checks.append(equality_check(f"{name}/class", format_class(cls),
                                      format_class(expected)))
     return checks
 
 
-def check_invariants(wb, p) -> list[Check]:
-    spec = wb.cover(p["cover"])
-    e = p["expected"]
+def check_invariants(wb, name, cover, expected):
+    e = _fields(expected, "expected", ("chi", "p_g", "q"), ("k2_cover",))
     expected = {"chi": _int(e["chi"], "expected.chi"), "p_g": _int(e["p_g"], "expected.p_g"),
                 "q": _int(e["q"], "expected.q")}
-    inv = cover_mod.invariants(spec)
+    inv = cover_mod.invariants(cover)
     got = {"chi": inv.chi, "p_g": inv.p_g, "q": inv.q}
     if "k2_cover" in e:
         got["k2_cover"] = str(inv.k2_cover)
         expected["k2_cover"] = str(_rat(e["k2_cover"], "expected.k2_cover"))
-    return [equality_check(p["name"], got, expected)]
+    return [equality_check(name, got, expected)]
 
 
-def check_h0_vanishing(wb, p) -> list[Check]:
-    return cover_mod.h0_vanishing_checks(wb.cover(p["cover"]))
+def check_h0_vanishing(wb, name, cover):
+    return cover_mod.h0_vanishing_checks(cover)
 
 
-def check_quotient_cover(wb, p) -> list[Check]:
-    spec = wb.cover(p["cover"])
-    expected_k2 = _rat(p["expected_k2"], "expected_k2")
-    quotient = cover_mod.quotient_cover(spec, _element(spec.group, p.get("character"), "character"))
+def check_quotient_cover(wb, name, cover, character, expected_branch, expected_k2):
+    expected_k2 = _rat(expected_k2, "expected_k2")
+    quotient = cover_mod.quotient_cover(cover, _element(cover.group, character, "character"))
     got_branch = sorted(c.name for c in quotient.branch)
     _cls, k2 = cover_mod.canonical_cover(quotient, 2)
-    return [equality_check(f"{p['name']}/branch", got_branch, sorted(p["expected_branch"])),
-            equality_check(f"{p['name']}/k2", k2, expected_k2)]
+    return [equality_check(f"{name}/branch", got_branch, sorted(expected_branch)),
+            equality_check(f"{name}/k2", k2, expected_k2)]
 
 
-def check_minimal_model(wb, p) -> list[Check]:
-    spec = wb.cover(p["cover"])
-    expected_k2 = _rat(p["expected_k2"], "expected_k2")
-    expect_ample = _bool(p.get("expect_ample", False), "expect_ample")
+def check_minimal_model(wb, name, cover, simple, node_threading, contract, expected_k2,
+                        expect_ample=False):
+    expected_k2 = _rat(expected_k2, "expected_k2")
+    expect_ample = _bool(expect_ample, "expect_ample")
     plan = cover_mod.ContractionPlan(
-        simple=_int(p["simple"], "simple"),
-        node_threading=_int(p["node_threading"], "node_threading"),
-        contracted_base=tuple(c.name for c in _components(spec, p.get("contract"), "contract")),
+        simple=_int(simple, "simple"),
+        node_threading=_int(node_threading, "node_threading"),
+        contracted_base=tuple(c.name for c in _components(cover, contract, "contract")),
     )
-    inv = cover_mod.minimal_model(spec, plan)
-    checks = [equality_check(f"{p['name']}/k2", inv.k2_minimal, expected_k2)]
+    inv = cover_mod.minimal_model(cover, plan)
+    checks = [equality_check(f"{name}/k2", inv.k2_minimal, expected_k2)]
     if expect_ample:
-        checks.append(equality_check(f"{p['name']}/ample-proxy", inv.ample_proxy, True))
+        checks.append(equality_check(f"{name}/ample-proxy", inv.ample_proxy, True))
     return checks
 
 
@@ -427,126 +445,105 @@ def check_minimal_model(wb, p) -> list[Check]:
 # handlers: lefschetz suite
 
 
-def check_involution_counts(wb, p) -> list[Check]:
-    got = lef.involution_counts(_int(p["kr"], "kr"), _int(p["r2"], "r2"))
-    return [equality_check(p["name"], got, _ints(p["expected"], "expected"))]
+def check_involution_counts(wb, name, kr, r2, expected):
+    got = lef.involution_counts(_int(kr, "kr"), _int(r2, "r2"))
+    return [equality_check(name, got, _ints(expected, "expected"))]
 
 
-def check_order3_counts(wb, p) -> list[Check]:
-    got = lef.order3_counts(_int(p["kr"], "kr"), _int(p["r2"], "r2"), _int(p["tr"], "tr"))
-    expected = None if p["expected"] is None else _ints(p["expected"], "expected")
-    return [equality_check(p["name"], got, expected)]
+def check_order3_counts(wb, name, kr, r2, tr, expected):
+    got = lef.order3_counts(_int(kr, "kr"), _int(r2, "r2"), _int(tr, "tr"))
+    expected = None if expected is None else _ints(expected, "expected")
+    return [equality_check(name, got, expected)]
 
 
-def check_range_filter(wb, p) -> list[Check]:
+def check_range_filter(wb, name, k2, expected, r2=None, exclude=None):
     got = lef.involution_range_filter(
-        _int(p["k2"], "k2"),
-        r2=_int(p["r2"], "r2") if "r2" in p else None,
-        exclude=_ints(p.get("exclude", []), "exclude"),
+        _int(k2, "k2"),
+        r2=None if r2 is None else _int(r2, "r2"),
+        exclude=() if exclude is None else _ints(exclude, "exclude"),
     )
-    return [equality_check(p["name"], got, list(_ints(p["expected"], "expected")))]
+    return [equality_check(name, got, list(_ints(expected, "expected")))]
 
 
-def check_diophantine(wb, p) -> list[Check]:
-    box = None
-    if "box" in p:
+def check_diophantine(wb, name, constraint, expected, box=None, target=None):
+    constraint = _choice(constraint, lef.NAMED_CONSTRAINTS, "constraint")
+    if box is not None:
+        _fields(box, "box", lef.NAMED_CONSTRAINTS[constraint][0])
         box = {k: range(_int(lo, f"box.{k}"), _int(hi, f"box.{k}") + 1)
-               for k, (lo, hi) in p["box"].items()}
-    target = _ints(p["target"], "target") if "target" in p else None
-    expected = sorted(_ints(sol, "expected") for sol in p["expected"])
-    got = lef.diophantine_enumerate(p["constraint"], box=box, target=target)
-    return [equality_check(p["name"], sorted(got), expected)]
+               for k, (lo, hi) in box.items()}
+    target = None if target is None else _ints(target, "target")
+    expected = sorted(_ints(sol, "expected") for sol in expected)
+    got = lef.diophantine_enumerate(constraint, box=box, target=target)
+    return [equality_check(name, sorted(got), expected)]
 
 
-def check_det_identity(wb, p) -> list[Check]:
+def check_det_identity(wb, name, a_min, a_max, b_min, b_max):
     """Pointwise agreement of the 3x3 intersection determinant with the
     closed form that the "ample-obstruction-det" enumeration solves, and
     emptiness of the admissible locus."""
     closed_form = lef.NAMED_CONSTRAINTS["ample-obstruction-det"][1]
-    a_values = range(_int(p["a_min"], "a_min"), _int(p["a_max"], "a_max") + 1)
-    b_values = range(_int(p["b_min"], "b_min"), _int(p["b_max"], "b_max") + 1)
+    a_values = range(_int(a_min, "a_min"), _int(a_max, "a_max") + 1)
+    b_values = range(_int(b_min, "b_min"), _int(b_max, "b_max") + 1)
     mismatches = []
     for a in a_values:
         for b in b_values:
             if gram_det([[7, a, 0], [a, 1, b], [0, b, -2]]) != closed_form(a, b):
                 mismatches.append((a, b))
-    checks = [equality_check(f"{p['name']}/closed-form", mismatches, [])]
+    checks = [equality_check(f"{name}/closed-form", mismatches, [])]
     admissible = lef.involution_range_filter(7, r2=1)
     solutions = [
         (a, b)
         for (a, b) in lef.diophantine_enumerate("ample-obstruction-det")
         if a in admissible
     ]
-    checks.append(equality_check(f"{p['name']}/no-admissible-zero", solutions, []))
+    checks.append(equality_check(f"{name}/no-admissible-zero", solutions, []))
     return checks
 
 
-def check_theorem11(wb, p) -> list[Check]:
-    return [replace(c, name=f"{p['name']}/{c.name}")
-            for c in lef.theorem11_consistency(p["case"])]
+def check_theorem11(wb, name, case):
+    return [replace(c, name=f"{name}/{c.name}")
+            for c in lef.theorem11_consistency(_choice(case, lef.CASE_TABLE, "case"))]
 
 
-def check_subgroups(wb, p) -> list[Check]:
-    group = groups_mod.FiniteAbelianGroup(_ints(p["orders"], "orders"))
-    elementary_only = _bool(p.get("elementary_only", False), "elementary_only")
-    subs = groups_mod.subgroups_of_order(group, _int(p["n"], "n"),
-                                         elementary_only=elementary_only)
-    return [equality_check(p["name"], len(subs), _int(p["expected_count"], "expected_count"))]
+def check_subgroups(wb, name, orders, n, expected_count, elementary_only=False):
+    group = groups_mod.FiniteAbelianGroup(_ints(orders, "orders"))
+    subs = groups_mod.subgroups_of_order(group, _int(n, "n"),
+                                         elementary_only=_bool(elementary_only, "elementary_only"))
+    return [equality_check(name, len(subs), _int(expected_count, "expected_count"))]
 
 
-def check_common_involution(wb, p) -> list[Check]:
-    group = groups_mod.FiniteAbelianGroup(_ints(p["orders"], "orders"))
-    subs = groups_mod.subgroups_of_order(group, _int(p["n"], "n"))
+def check_common_involution(wb, name, orders, n, expected):
+    group = groups_mod.FiniteAbelianGroup(_ints(orders, "orders"))
+    subs = groups_mod.subgroups_of_order(group, _int(n, "n"))
     got = groups_mod.pairwise_common_involution(group, subs)
-    return [equality_check(p["name"], got, _bool(p["expected"], "expected"))]
+    return [equality_check(name, got, _bool(expected, "expected"))]
 
 
-def check_restriction_level(wb, p) -> list[Check]:
-    group = groups_mod.FiniteAbelianGroup(_ints(p["orders"], "orders"))
-    pair = groups_mod.CyclicPair(group, _element(group, p.get("generator"), "generator"),
-                                 _int(p["exponent"], "exponent"))
-    got = groups_mod.restriction_level(pair, _element(group, p.get("character"), "character"))
-    return [equality_check(p["name"], got, _int(p["expected"], "expected"))]
+def check_restriction_level(wb, name, orders, generator, exponent, character, expected):
+    group = groups_mod.FiniteAbelianGroup(_ints(orders, "orders"))
+    pair = groups_mod.CyclicPair(group, _element(group, generator, "generator"),
+                                 _int(exponent, "exponent"))
+    got = groups_mod.restriction_level(pair, _element(group, character, "character"))
+    return [equality_check(name, got, _int(expected, "expected"))]
 
 
-HANDLERS = {
-    "intersect": check_intersect,
-    "abstract_self_intersection": check_abstract_self_intersection,
-    "abstract_adjunction_genus": check_abstract_adjunction_genus,
-    "gram_det": check_gram_det,
-    "blowup_basis_det": check_blowup_basis_det,
-    "adjunction_genus": check_adjunction_genus,
-    "solve_divide": check_solve_divide,
-    "hodge_bound": check_hodge_bound,
-    "collinear_sets": check_collinear_sets,
-    "minus_two_catalog": check_minus_two_catalog,
-    "isolated_minus_one": check_isolated_minus_one,
-    "catalog_counts": check_catalog_counts,
-    "pencils_include": check_pencils_include,
-    "singular_members": check_singular_members,
-    "contract": check_contract,
-    "cover_relations": check_cover_relations,
-    "relation_sum": check_relation_sum,
-    "derived_class": check_derived_class,
-    "solve_matches_derived": check_solve_matches_derived,
-    "branch_points": check_branch_points,
-    "pullback": check_pullback,
-    "preimage_consistency": check_preimage_consistency,
-    "canonical_cover": check_canonical_cover,
-    "invariants": check_invariants,
-    "h0_vanishing": check_h0_vanishing,
-    "quotient_cover": check_quotient_cover,
-    "minimal_model": check_minimal_model,
-    "involution_counts": check_involution_counts,
-    "order3_counts": check_order3_counts,
-    "range_filter": check_range_filter,
-    "diophantine": check_diophantine,
-    "det_identity": check_det_identity,
-    "theorem11": check_theorem11,
-    "subgroups": check_subgroups,
-    "common_involution": check_common_involution,
-    "restriction_level": check_restriction_level,
-}
+# kind -> handler: the `check_<kind>` functions above, the one declaration of each kind
+HANDLERS = {name.removeprefix("check_"): fn for name, fn in list(globals().items())
+            if name.startswith("check_")}
+
+
+def _fields_of(handler) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The required and the optional fields of a handler's kind: its
+    parameters after `wb`, optional when they have a default."""
+    params = list(inspect.signature(handler).parameters.values())[1:]
+    required = tuple(p.name.rstrip("_") for p in params if p.default is p.empty)
+    optional = tuple(p.name.rstrip("_") for p in params if p.default is not p.empty)
+    return required, optional
+
+
+FIELDS = {kind: _fields_of(handler) for kind, handler in HANDLERS.items()}
+# the fields of an entry that the harness reads instead of the handler
+HARNESS_FIELDS = ("kind", "suite", "tag")
 
 # raised when a claimed class or derivation does not exist; any other exception
 # is a fault, which proves nothing about the claim
@@ -561,20 +558,52 @@ NEEDS_VALID_COVER = frozenset({
 })
 
 
+def bind_checks(entries, surfaces, covers) -> None:
+    """Hold each (field path, object) of a file's `checks` to the fields of
+    its kind, with unique names and `surface` and `cover` ids among the
+    file's `surfaces` and `covers`; a SpecError names the offending field."""
+    names = set()
+    for where, raw in entries:
+        for field in ("name", "kind"):
+            _str(raw.get(field), f"{where}.{field}")
+        for field in ("tag", "surface", "cover"):
+            _str(raw.get(field, ""), f"{where}.{field}")
+        if raw["kind"] not in HANDLERS:
+            raise SpecError(f"{where}.kind: unknown check kind {raw['kind']!r}")
+        required, optional = FIELDS[raw["kind"]]
+        _fields(raw, where, ("kind", *required), (*HARNESS_FIELDS, *optional))
+        _choice(raw.get("suite", "all"), SUITES, f"{where}.suite")
+        if raw["name"] in names:
+            raise SpecError(f"{where}.name: duplicate check name {raw['name']!r}")
+        names.add(raw["name"])
+        for field, ids in (("surface", surfaces), ("cover", covers)):
+            if field in raw and raw[field] not in ids:
+                raise SpecError(f"{where}.{field}: unknown {field} {raw[field]!r}")
+
+
 def run_check(wb, params: dict) -> list[Check]:
-    """The checks of one file entry, with the harness decisions made here
-    once for every handler: a kind in NEEDS_VALID_COVER reports `unsupported` when its cover failed
-    validation; a SpecError is raised again naming the check; an exception
-    in REFUTATIONS becomes a failing check, and any other one an
-    `unsupported` check naming it; and the entry's `tag`, when it has one,
-    replaces the tags of all its checks."""
-    name, kind = params.get("name", "?"), params.get("kind")
+    """The checks of one entry that `bind_checks` accepted, with the harness
+    decisions made here once for every handler: the handler gets the entry's
+    fields, its `surface` and `cover` ids resolved to the built objects; a
+    kind in NEEDS_VALID_COVER reports `unsupported` when its cover failed
+    validation; a SpecError, or an entry that yields no check, is raised
+    again naming the check; an exception in REFUTATIONS becomes a failing
+    check, and any other one an `unsupported` check naming it; and the
+    entry's `tag`, when it has one, replaces the tags of all its checks."""
+    name, kind = params["name"], params["kind"]
+    args = {f"{k}_" if iskeyword(k) else k: v
+            for k, v in params.items() if k not in HARNESS_FIELDS}
     try:
-        if kind in NEEDS_VALID_COVER and not wb.cover_valid(params["cover"]):
+        if kind in NEEDS_VALID_COVER and not wb.cover_valid(args["cover"]):
             checks = [Check(name, UNSUPPORTED, "cover data failed validation",
                             "valid cover data")]
         else:
-            checks = HANDLERS[kind](wb, params)
+            for field, build in (("surface", wb.surface), ("cover", wb.cover)):
+                if field in args:
+                    args[field] = build(args[field])
+            checks = HANDLERS[kind](wb, **args)
+        if not checks:
+            raise SpecError("the entry yields no report line")
     except SpecError as exc:
         raise SpecError(f"check {name}: {exc}") from None
     except Exception as exc:  # a check must never crash the harness

@@ -6,10 +6,11 @@ written as integers or "p/q" strings; divisor classes as symbol ->
 rational maps; characters and group elements as residue tuples, one per
 cyclic factor.  `_surface` and `_cover` read a surface and a cover into
 the `BlowupSurface` and `CoverSpec` the checks use, refusing bad data with
-a `SpecError` naming the field.  `parse_data` runs both on every entry, so
-bad data fails before any check runs, and keeps the file's JSON objects,
-keys sorted at every level; a `Workbench` builds them again at its seed.
-Reports are deterministic given (file, seed).
+a `SpecError` naming the field.  `parse_data` runs both on every entry and
+holds every check entry to the fields of its kind (`checks.bind_checks`),
+so bad data fails before any check runs, and keeps the file's JSON
+objects, keys sorted at every level; a `Workbench` builds them again at
+its seed.  Reports are deterministic given (file, seed).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .checks import (HANDLERS, NAMED_CHECKS, SpecError, _element, _int, _ints, _str,
+from .checks import (NAMED_CHECKS, SUITES, SpecError, _element, _int, _ints, _str, bind_checks,
                      resolve_class, run_check)
 from .cover import BranchComponent, CoverDataError, CoverSpec, validate_cover_data
 from .groups import CyclicPair, FiniteAbelianGroup
@@ -29,7 +30,6 @@ from .report import Check, VerificationReport
 from .surface import BlowupSurface, SurfaceError
 
 FORMAT_VERSION = 1
-SUITES = ("lattice", "surface", "cover", "lefschetz", "all")
 
 _STEP_KINDS = {
     "free_point": (FreePoint, 1),
@@ -149,23 +149,7 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
         if cid in cover_ids:
             raise SpecError(f"{w}.id: duplicate cover id {cid!r}")
         cover_ids.add(cid)
-    names = set()
-    for w, raw in _objects(data.get("checks", []), f"{where}.checks"):
-        for field in ("name", "kind"):
-            _str(raw.get(field), f"{w}.{field}")
-        for field in ("tag", "surface", "cover"):
-            _str(raw.get(field, ""), f"{w}.{field}")
-        if raw["kind"] not in HANDLERS:
-            raise SpecError(f"{w}.kind: unknown check kind {raw['kind']!r}")
-        if raw.get("suite", "all") not in SUITES:
-            raise SpecError(f"{w}: unknown suite {raw.get('suite')!r}")
-        if raw["name"] in names:
-            raise SpecError(f"{w}: duplicate check name {raw['name']!r}")
-        names.add(raw["name"])
-        if "surface" in raw and raw["surface"] not in surfaces:
-            raise SpecError(f"{w}: unknown surface {raw['surface']!r}")
-        if "cover" in raw and raw["cover"] not in cover_ids:
-            raise SpecError(f"{w}: unknown cover {raw['cover']!r}")
+    bind_checks(_objects(data.get("checks", []), f"{where}.checks"), surfaces, cover_ids)
     return WorkbenchFile(version,
                          *(tuple(data.get(key, [])) for key in ("surfaces", "covers", "checks")))
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -339,6 +340,90 @@ def test_malformed_check_value_is_an_input_error(tmp_path, capsys, data, name, f
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"check {name}: {field}:" in err
+
+
+def _only_check(fixture, name, edit):
+    """The fixture with `name` as its only check, changed in place by `edit`."""
+    raw = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    raw["checks"] = [c for c in raw["checks"] if c["name"] == name]
+    edit(raw["checks"][0])
+    return raw
+
+
+def _rename(old, new):
+    return lambda check: check.update({new: check.pop(old)})
+
+
+@pytest.mark.parametrize("data, message", [
+    # a field of the entry itself, refused when the file is parsed
+    (_only_check("inoue_bidouble", "W/gamma2-self-intersection", lambda c: c.pop("rhs")),
+     "checks[0].rhs: missing field"),
+    (_only_check("inoue_z2z4", "z2z4/derived-rho2", _rename("expected_class", "expected_clas")),
+     "checks[0].expected_clas: unknown field"),
+    (_only_check("inoue_bidouble", "bidouble/minimal-model",
+                 _rename("expect_ample", "expect_amples")),
+     "checks[0].expect_amples: unknown field"),
+    (_only_check("inoue_z2z4", "z2z4/canonical", lambda c: c.update(expected_class=None)),
+     "checks[0].expected_class: expected a value, got null"),
+    (_only_check("inoue_z2z4", "z2z4/preimage-consistency", lambda c: c.update(components=None)),
+     "checks[0].components: expected a value, got null"),
+    # a field of a nested object, refused when the entry runs
+    (_only_check("inoue_z2z4", "z2z4/invariants", lambda c: c["expected"].pop("q")),
+     "check z2z4/invariants: expected.q: missing field"),
+    (_only_check("inoue_z2z4", "z2z4/invariants", lambda c: c.update(
+        expected={"chi": 1, "p_g": 0, "q": 0, "k2_covr": -10})),
+     "check z2z4/invariants: expected.k2_covr: unknown field"),
+    (_only_check("inoue_z2z4", "z2z4/pullback-M2", lambda c: c["expected"].pop("s")),
+     "check z2z4/pullback-M2: expected.s: missing field"),
+    (_only_check("inoue_z2z4", "z2z4/branch-points",
+                 lambda c: c["expected_nodes"][1].update(inertia=4)),
+     "check z2z4/branch-points: expected_nodes[1].inertia: unknown field"),
+    (_only_check("inoue_z2z4", "z2z4/derived-rho2", lambda c: c["minuend"].pop("multiple")),
+     "check z2z4/derived-rho2: minuend.multiple: missing field"),
+    (_only_check("inoue_z2z4", "z2z4/derived-rho2", lambda c: c.pop("minuend")),
+     "check z2z4/derived-rho2: minuend: expected an object, got None"),
+    (_one_check_file(kind="diophantine", constraint="commuting-cubic", box={"x": [0, 1]},
+                     expected=[]),
+     "check x: box.y: missing field"),
+    (_one_check_file(kind="diophantine", constraint="commuting-cubic",
+                     box={"x": [0, 1], "y": [0, 1], "z": [0, 1]}, expected=[[0, 1]]),
+     "check x: box.z: unknown field"),
+    (_only_check("inoue_z2z4", "Y/singular-members-Phi",
+                 lambda c: c["expected"][0][1].update(mult=1)),
+     "check Y/singular-members-Phi: expected[0][1].mult: unknown field"),
+    # an entry that makes no claim
+    (_only_check("inoue_z2z4", "z2z4/derived-rho2", lambda c: [
+        c.pop(k) for k in ("expected_class", "minuend", "subtract_components")]),
+     "check z2z4/derived-rho2: the entry yields no report line"),
+    (_only_check("inoue_z2z4", "z2z4/preimage-consistency", lambda c: c.update(components=[])),
+     "check z2z4/preimage-consistency: the entry yields no report line"),
+    # a name outside the known ones
+    (_one_check_file(kind="diophantine", constraint="nope", expected=[]),
+     "check x: constraint: expected one of ample-obstruction-det, commuting-cubic, "),
+    (_one_check_file(kind="theorem11", case="d"),
+     "check x: case: expected one of a, b, c, got 'd'"),
+])
+def test_bad_check_field_is_an_input_error(tmp_path, capsys, data, message):
+    from scw.cli import main
+
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+def test_readme_lists_the_fields_of_every_kind():
+    from scw.checks import FIELDS
+
+    readme = (SRC.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \| (.*) \|$", readme, re.M)
+    table = {kind: (tuple(re.findall(r"`(\w+)`", required)), tuple(re.findall(r"`(\w+)`", opt)))
+             for kind, required, opt in rows}
+    assert table == {kind: (required[1:], optional)
+                     for kind, (required, optional) in FIELDS.items()}
+    assert all(required[0] == "name" for required, _ in FIELDS.values())
 
 
 @pytest.mark.parametrize("field, value", [
