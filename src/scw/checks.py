@@ -468,7 +468,7 @@ def check_range_filter(wb, name, k2, expected, r2=None, exclude=None):
 def check_diophantine(wb, name, constraint, expected, box=None, target=None):
     constraint = _choice(constraint, lef.NAMED_CONSTRAINTS, "constraint")
     if box is not None:
-        _fields(box, "box", lef.NAMED_CONSTRAINTS[constraint][0])
+        _fields(box, "box", lef.NAMED_CONSTRAINTS[constraint][0])  # one per variable
         box = {k: range(_int(lo, f"box.{k}"), _int(hi, f"box.{k}") + 1)
                for k, (lo, hi) in box.items()}
     target = None if target is None else _ints(target, "target")
@@ -571,7 +571,7 @@ def bind_checks(entries, surfaces, covers) -> None:
         if raw["kind"] not in HANDLERS:
             raise SpecError(f"{where}.kind: unknown check kind {raw['kind']!r}")
         required, optional = FIELDS[raw["kind"]]
-        _fields(raw, where, ("kind", *required), (*HARNESS_FIELDS, *optional))
+        _fields(raw, where, required, (*HARNESS_FIELDS, *optional))
         _choice(raw.get("suite", "all"), SUITES, f"{where}.suite")
         if raw["name"] in names:
             raise SpecError(f"{where}.name: duplicate check name {raw['name']!r}")

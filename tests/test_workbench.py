@@ -362,7 +362,8 @@ def _rename(old, new):
      "checks[0].expected_clas: unknown field"),
     (_only_check("inoue_bidouble", "bidouble/minimal-model",
                  _rename("expect_ample", "expect_amples")),
-     "checks[0].expect_amples: unknown field"),
+     "checks[0].expect_amples: unknown field; known fields: contract, cover, expect_ample, "
+     "expected_k2, kind, name, node_threading, simple, suite, tag"),
     (_only_check("inoue_z2z4", "z2z4/canonical", lambda c: c.update(expected_class=None)),
      "checks[0].expected_class: expected a value, got null"),
     (_only_check("inoue_z2z4", "z2z4/preimage-consistency", lambda c: c.update(components=None)),
