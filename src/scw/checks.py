@@ -79,6 +79,14 @@ def _ints(values, where: str) -> tuple[int, ...]:
     return tuple(_int(x, where) for x in values)
 
 
+def _interval(value, where: str) -> range:
+    """The integers lo..hi of a list [lo, hi]."""
+    bounds = _ints(value, where)
+    if len(bounds) != 2:
+        raise SpecError(f"{where}: expected [lo, hi], got {value!r}")
+    return range(bounds[0], bounds[1] + 1)
+
+
 def _bool(value, where: str) -> bool:
     # bool() would read the string "false" as True
     if isinstance(value, bool):
@@ -90,6 +98,13 @@ def _str(value, where: str) -> str:
     if isinstance(value, str):
         return value
     raise SpecError(f"{where}: expected a string, got {value!r}")
+
+
+def _strs(values, where: str) -> list[str]:
+    # sorted() would read the string "M1N2" as the list ['1', '2', 'M', 'N']
+    if not isinstance(values, list):
+        raise SpecError(f"{where}: expected a list of strings, got {values!r}")
+    return [_str(x, f"{where}[{i}]") for i, x in enumerate(values)]
 
 
 def _choice(value, known, where: str) -> str:
@@ -200,7 +215,9 @@ def check_hodge_bound(wb, name, k2, kd, expected, d2=None):
 
 def check_collinear_sets(wb, name, surface, expected):
     got = sorted(sorted(group) for group in surface.collinear_sets)
-    expected = sorted(sorted(group) for group in expected)
+    if not isinstance(expected, list):
+        raise SpecError(f"expected: expected a list of lists of strings, got {expected!r}")
+    expected = sorted(sorted(_strs(group, f"expected[{i}]")) for i, group in enumerate(expected))
     return [equality_check(name, got, expected)]
 
 
@@ -341,10 +358,11 @@ def check_branch_points(wb, name, cover, expected_nodes, expected_total_nodes):
     for i, n in enumerate(expected_nodes):
         _fields(n, f"expected_nodes[{i}]", ("pair", "points", "preimages", "inertia_order"))
     expected_nodes = sorted(
-        (tuple(sorted(n["pair"])), _int(n["points"], "expected_nodes.points"),
+        (tuple(sorted(_strs(n["pair"], f"expected_nodes[{i}].pair"))),
+         _int(n["points"], "expected_nodes.points"),
          _int(n["preimages"], "expected_nodes.preimages"),
          _int(n["inertia_order"], "expected_nodes.inertia_order"))
-        for n in expected_nodes
+        for i, n in enumerate(expected_nodes)
     )
     expected_total = _int(expected_total_nodes, "expected_total_nodes")
     analyses = cover.branch_points
@@ -418,10 +436,11 @@ def check_h0_vanishing(wb, name, cover):
 
 def check_quotient_cover(wb, name, cover, character, expected_branch, expected_k2):
     expected_k2 = _rat(expected_k2, "expected_k2")
+    expected_branch = sorted(_strs(expected_branch, "expected_branch"))
     quotient = cover_mod.quotient_cover(cover, _element(cover.group, character, "character"))
     got_branch = sorted(c.name for c in quotient.branch)
     _cls, k2 = cover_mod.canonical_cover(quotient, 2)
-    return [equality_check(f"{name}/branch", got_branch, sorted(expected_branch)),
+    return [equality_check(f"{name}/branch", got_branch, expected_branch),
             equality_check(f"{name}/k2", k2, expected_k2)]
 
 
@@ -469,8 +488,7 @@ def check_diophantine(wb, name, constraint, expected, box=None, target=None):
     constraint = _choice(constraint, lef.NAMED_CONSTRAINTS, "constraint")
     if box is not None:
         _fields(box, "box", lef.NAMED_CONSTRAINTS[constraint][0])  # one per variable
-        box = {k: range(_int(lo, f"box.{k}"), _int(hi, f"box.{k}") + 1)
-               for k, (lo, hi) in box.items()}
+        box = {k: _interval(bounds, f"box.{k}") for k, bounds in box.items()}
     target = None if target is None else _ints(target, "target")
     expected = sorted(_ints(sol, "expected") for sol in expected)
     got = lef.diophantine_enumerate(constraint, box=box, target=target)

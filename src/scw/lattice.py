@@ -6,8 +6,10 @@ the canonical class -3L + sum(E_i); and an abstract lattice given by an
 explicit Gram matrix, used for computations on surfaces whose Picard group
 is only known numerically.
 
-All coefficients are exact rationals.  Classes are immutable; every
-operation is a pure function of its inputs.
+Class coefficients are exact rationals.  `solve_linear` takes integral
+systems and eliminates over Z, so `Fraction` appears there only in the
+classes it returns.  Classes are immutable; every operation is a pure
+function of its inputs.
 """
 
 from __future__ import annotations
@@ -276,12 +278,13 @@ class LinearSolution:
 def solve_linear(relations: Sequence[Relation]) -> LinearSolution:
     """Solve a system of linear-equivalence constraints for unknown classes.
 
-    Works over the free lattice (no torsion): the integer system is reduced
-    by Smith normal form, each basis coordinate is solved independently,
-    and integrality is enforced.  Underdetermined unknowns are reported via
-    `degrees_of_freedom` (free unknowns are pinned to 0 in the returned
-    canonical solution).  Raises Unsolvable with a certificate row when no
-    integral solution exists.
+    Works over the free lattice (no torsion) and over Z: the integer system
+    A X = B is reduced by Smith normal form U A V = S, each basis coordinate
+    of U B is divided exactly by its diagonal entry, and V maps the result
+    back; `Fraction` appears only in the returned classes.  Underdetermined
+    unknowns are reported via `degrees_of_freedom` (free unknowns are pinned
+    to 0 in the returned canonical solution).  Raises Unsolvable with a
+    certificate row when no integral solution exists.
     """
     if not relations:
         raise ValueError("no relations given")
@@ -300,45 +303,40 @@ def solve_linear(relations: Sequence[Relation]) -> LinearSolution:
     for r, rel in enumerate(relations):
         for name, coeff in rel.unknowns:
             a[r][names.index(name)] = coeff
-    b = [[rel.rhs.coeffs[j] for j in range(lat.dim)] for rel in relations]
+    b = [[c.numerator for c in rel.rhs.coeffs] for rel in relations]
 
     u, s, v = smith_normal_form(a)
     m, nu = len(a), len(names)
-    ub = [
-        [sum(Fraction(u[i][k]) * b[k][j] for k in range(m)) for j in range(lat.dim)]
-        for i in range(m)
-    ]
     diag = [s[i][i] for i in range(min(m, nu))]
     rank = sum(1 for d in diag if d != 0)
 
-    y = [[Fraction(0)] * lat.dim for _ in range(nu)]
+    y = [[0] * lat.dim for _ in range(nu)]
     for i in range(m):
         si = diag[i] if i < len(diag) else 0
+        terms = [(c, b[k]) for k, c in enumerate(u[i]) if c]
         for j in range(lat.dim):
+            ub = sum(c * row[j] for c, row in terms)
             if si == 0:
-                if ub[i][j] != 0:
+                if ub != 0:
                     raise Unsolvable(
                         f"inconsistent system: combination {u[i]} of the relations "
-                        f"forces 0 == {ub[i][j]} at symbol {lat.names[j]!r}",
+                        f"forces 0 == {ub} at symbol {lat.names[j]!r}",
                         certificate=(u[i], lat.names[j]),
                     )
             else:
-                q = ub[i][j] / si
-                if q.denominator != 1:
+                q, r = divmod(ub, si)
+                if r:
                     raise Unsolvable(
                         f"no integral solution: combination {u[i]} of the relations "
-                        f"needs {si} | {ub[i][j]} at symbol {lat.names[j]!r}",
+                        f"needs {si} | {ub} at symbol {lat.names[j]!r}",
                         certificate=(u[i], lat.names[j]),
                     )
                 y[i][j] = q
-    x = [
-        [sum(Fraction(v[i][k]) * y[k][j] for k in range(nu)) for j in range(lat.dim)]
-        for i in range(nu)
-    ]
-    classes = {
-        name: DivisorClass(lat, tuple(x[i]))
-        for i, name in enumerate(names)
-    }
+    classes = {}
+    for i, name in enumerate(names):
+        terms = [(c, y[k]) for k, c in enumerate(v[i]) if c]
+        classes[name] = DivisorClass(lat, tuple(
+            Fraction(sum(c * row[j] for c, row in terms)) for j in range(lat.dim)))
     return LinearSolution(classes=classes, degrees_of_freedom=nu - rank)
 
 

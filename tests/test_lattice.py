@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scw.lattice import (LatticeMismatch, NotDivisible, Relation, Unsolvable,
-                         abstract_lattice, adjunction_genus, blowup_lattice,
-                         format_class, gram_det, hodge_index_bound,
+from scw.exactla import smith_normal_form
+from scw.lattice import (DivisorClass, LatticeMismatch, LinearSolution, NotDivisible,
+                         Relation, Unsolvable, abstract_lattice, adjunction_genus,
+                         blowup_lattice, format_class, gram_det, hodge_index_bound,
                          solve_divide, solve_linear)
 
 
@@ -89,7 +91,14 @@ def test_solve_linear_small_cases(surface_w):
     assert sol.degrees_of_freedom == 0
     with pytest.raises(Unsolvable) as err:
         solve_linear([Relation.make({"X": 2}, line)])
-    assert err.value.certificate is not None
+    assert str(err.value) == ("no integral solution: combination [1] of the relations "
+                              "needs 2 | 1 at symbol 'L'")
+    assert err.value.certificate == ([1], "L")
+    with pytest.raises(Unsolvable) as err:
+        solve_linear([Relation.make({"X": 1}, line), Relation.make({"X": 1}, 2 * line)])
+    assert str(err.value) == ("inconsistent system: combination [-1, 1] of the relations "
+                              "forces 0 == 1 at symbol 'L'")
+    assert err.value.certificate == ([-1, 1], "L")
 
 
 def test_solve_linear_underdetermined(surface_w):
@@ -97,6 +106,164 @@ def test_solve_linear_underdetermined(surface_w):
     sol = solve_linear([Relation.make({"X": 1, "Y": 1}, lat.divisor({"L": 2}))])
     assert sol.degrees_of_freedom == 1
     assert sol.classes["X"] + sol.classes["Y"] == lat.divisor({"L": 2})
+
+
+def test_solve_linear_z2z4_system(cover_h):
+    from scw.cover import building_data_relations
+
+    relations = building_data_relations(cover_h)
+    assert len(relations) == 28
+    solution = solve_linear(relations)
+    assert solution.degrees_of_freedom == 0
+    assert {name: str(cls) for name, cls in solution.classes.items()} == {
+        "L_c01": "4L - 2Q - 2Q1 - 2Q2 - Q3 - Q1p - Q2p - Q3p",
+        "L_c02": "2L - Q - Q1 - Q2 - Q3 - Q1p - Q2p",
+        "L_c03": "4L - Q - 2Q1 - 2Q2 - 2Q3 - Q1p - Q2p - Q3p",
+        "L_c10": "4L - 2Q - 2Q1 - Q2 - Q3 - Q2p - 2Q3p",
+        "L_c11": "4L - 2Q - Q1 - Q2 - Q3 - Q1p - 2Q2p - 2Q3p",
+        "L_c12": "5L - 2Q - 2Q1 - 2Q2 - 2Q3 - 2Q2p - 2Q3p",
+        "L_c13": "5L - 2Q - 2Q1 - Q2 - 2Q3 - 2Q1p - 2Q2p - 2Q3p",
+    }
+    assert all(type(c) is Fraction for cls in solution.classes.values() for c in cls.coeffs)
+    assert solution == reference_solve_linear(relations)
+
+
+def reference_solve_linear(relations):
+    """`solve_linear` as it was written on Fraction arithmetic."""
+    if not relations:
+        raise ValueError("no relations given")
+    lat = relations[0].rhs.lattice
+    for rel in relations:
+        if rel.rhs.lattice != lat:
+            raise LatticeMismatch("relation right-hand sides live on different lattices")
+        if not rel.rhs.is_integral:
+            raise ValueError("known classes must be integral")
+    names = []
+    for rel in relations:
+        for name, _ in rel.unknowns:
+            if name not in names:
+                names.append(name)
+    a = [[0] * len(names) for _ in relations]
+    for r, rel in enumerate(relations):
+        for name, coeff in rel.unknowns:
+            a[r][names.index(name)] = coeff
+    b = [[rel.rhs.coeffs[j] for j in range(lat.dim)] for rel in relations]
+
+    u, s, v = smith_normal_form(a)
+    m, nu = len(a), len(names)
+    ub = [
+        [sum(Fraction(u[i][k]) * b[k][j] for k in range(m)) for j in range(lat.dim)]
+        for i in range(m)
+    ]
+    diag = [s[i][i] for i in range(min(m, nu))]
+    rank = sum(1 for d in diag if d != 0)
+
+    y = [[Fraction(0)] * lat.dim for _ in range(nu)]
+    for i in range(m):
+        si = diag[i] if i < len(diag) else 0
+        for j in range(lat.dim):
+            if si == 0:
+                if ub[i][j] != 0:
+                    raise Unsolvable(
+                        f"inconsistent system: combination {u[i]} of the relations "
+                        f"forces 0 == {ub[i][j]} at symbol {lat.names[j]!r}",
+                        certificate=(u[i], lat.names[j]),
+                    )
+            else:
+                q = ub[i][j] / si
+                if q.denominator != 1:
+                    raise Unsolvable(
+                        f"no integral solution: combination {u[i]} of the relations "
+                        f"needs {si} | {ub[i][j]} at symbol {lat.names[j]!r}",
+                        certificate=(u[i], lat.names[j]),
+                    )
+                y[i][j] = q
+    x = [
+        [sum(Fraction(v[i][k]) * y[k][j] for k in range(nu)) for j in range(lat.dim)]
+        for i in range(nu)
+    ]
+    classes = {name: DivisorClass(lat, tuple(x[i])) for i, name in enumerate(names)}
+    return LinearSolution(classes=classes, degrees_of_freedom=nu - rank)
+
+
+SMALL = st.integers(-4, 4)
+
+
+@st.composite
+def linear_systems(draw):
+    """(kind, relations): an integral system A X = B built to be `unique`,
+    `underdetermined`, `inconsistent` (a zero row of the Smith form with a
+    nonzero right-hand side) or `non-integral` (solvable over Q only), then
+    mixed by random row operations on (A | B), which keep its solutions."""
+    if draw(st.booleans()):
+        lat = blowup_lattice("L", [f"E{i}" for i in range(1, draw(st.integers(0, 3)) + 1)])
+    else:
+        dim = draw(st.integers(1, 3))
+        lat = abstract_lattice([f"e{i}" for i in range(dim)],
+                               [[(i + j) % 3 - 1 for j in range(dim)] for i in range(dim)])
+    kind = draw(st.sampled_from(["unique", "underdetermined", "inconsistent", "non-integral"]))
+    nu = draw(st.integers(1, 4))
+    x = [draw(st.lists(SMALL, min_size=lat.dim, max_size=lat.dim)) for _ in range(nu)]
+    # an identity block gives full column rank with every diagonal entry 1
+    a = [[int(i == k) for k in range(nu)] for i in range(nu)]
+    a += draw(st.lists(st.lists(SMALL, min_size=nu, max_size=nu), max_size=3))
+    if kind == "underdetermined":
+        # one more unknown, whose column is a multiple of the first
+        f = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+        a = [row + [f * row[0]] for row in a]
+        x.append([0] * lat.dim)
+    if kind == "non-integral":
+        a = a[:nu]
+        a[nu - 1][nu - 1] = draw(st.integers(2, 5))
+    b = [[sum(row[k] * x[k][j] for k in range(len(row))) for j in range(lat.dim)] for row in a]
+    if kind == "inconsistent":
+        a.append(list(a[0]))
+        b.append(list(b[0]))
+    if kind in ("inconsistent", "non-integral"):
+        j = draw(st.integers(0, lat.dim - 1))
+        b[-1][j] += 1
+    for _ in range(draw(st.integers(0, 6))):
+        i, k = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(a) - 1))
+        if i != k:
+            f = draw(st.integers(-3, 3))
+            a[i] = [p + f * q for p, q in zip(a[i], a[k])]
+            b[i] = [p + f * q for p, q in zip(b[i], b[k])]
+    unknowns = [f"X{k}" for k in range(len(a[0]))]
+    order = draw(st.permutations(range(len(a))))
+    # a zero row of A stays, as a relation without unknowns
+    return kind, [Relation.make({name: c for name, c in zip(unknowns, a[r]) if c},
+                                lat.divisor(b[r])) for r in order]
+
+
+def _outcome(solve, relations):
+    try:
+        return solve(relations)
+    except Unsolvable as exc:
+        return ("Unsolvable", str(exc), exc.certificate)
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_systems())
+def test_solve_linear_matches_fraction_reference(case):
+    kind, relations = case
+    got = _outcome(solve_linear, relations)
+    assert got == _outcome(reference_solve_linear, relations)
+    if kind in ("unique", "underdetermined"):
+        assert isinstance(got, LinearSolution)
+        assert all(type(c) is Fraction for cls in got.classes.values() for c in cls.coeffs)
+        for rel in relations:
+            total = rel.rhs.lattice.zero()
+            for name, coeff in rel.unknowns:
+                total = total + coeff * got.classes[name]
+            assert total == rel.rhs
+    if kind == "unique":
+        assert got.degrees_of_freedom == 0
+    if kind == "underdetermined":
+        assert got.degrees_of_freedom > 0
+    if kind == "inconsistent":
+        assert got[0] == "Unsolvable" and " forces 0 == " in got[1]
+    if kind == "non-integral":
+        assert got[0] == "Unsolvable" and " needs " in got[1]
 
 
 def test_hodge_index_bound():

@@ -403,6 +403,28 @@ def _rename(old, new):
      "check x: constraint: expected one of ample-obstruction-det, commuting-cubic, "),
     (_one_check_file(kind="theorem11", case="d"),
      "check x: case: expected one of a, b, c, got 'd'"),
+    # a list value read by a reader that names the field
+    (_one_check_file(kind="diophantine", constraint="commuting-cubic",
+                     box={"x": [0], "y": [0, 1]}, expected=[]),
+     "check x: box.x: expected [lo, hi], got [0]"),
+    (_one_check_file(kind="diophantine", constraint="commuting-cubic",
+                     box={"x": [0, 1], "y": [0, 0.5]}, expected=[]),
+     "check x: box.y: expected an integer, got 0.5"),
+    (_only_check("inoue_z2z4", "z2z4/quotient", lambda c: c.update(expected_branch="M1N1M2N2")),
+     "check z2z4/quotient: expected_branch: expected a list of strings, got 'M1N1M2N2'"),
+    (_only_check("inoue_z2z4", "z2z4/quotient", lambda c: c.update(expected_branch=["M1", 2])),
+     "check z2z4/quotient: expected_branch[1]: expected a string, got 2"),
+    (_only_check("inoue_z2z4", "Y/collinear-sets", lambda c: c.update(expected=5)),
+     "check Y/collinear-sets: expected: expected a list of lists of strings, got 5"),
+    (_only_check("inoue_z2z4", "Y/collinear-sets", lambda c: c["expected"].append("Q1Q2Q3")),
+     "check Y/collinear-sets: expected[6]: expected a list of strings, got 'Q1Q2Q3'"),
+    (_only_check("inoue_z2z4", "z2z4/branch-points",
+                 lambda c: c["expected_nodes"][1].update(pair="Lambda2N2")),
+     "check z2z4/branch-points: expected_nodes[1].pair: expected a list of strings, "
+     "got 'Lambda2N2'"),
+    (_only_check("inoue_z2z4", "z2z4/branch-points",
+                 lambda c: c["expected_nodes"][0].update(pair=["Lambda2", 2])),
+     "check z2z4/branch-points: expected_nodes[0].pair[1]: expected a string, got 2"),
 ])
 def test_bad_check_field_is_an_input_error(tmp_path, capsys, data, message):
     from scw.cli import main
