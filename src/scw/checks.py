@@ -73,10 +73,15 @@ def _int(value, where: str) -> int:
     raise SpecError(f"{where}: expected an integer, got {value!r}")
 
 
-def _ints(values, where: str) -> tuple[int, ...]:
+def _list(values, where: str, of: str) -> list:
+    # iterating a number raises TypeError, and a string reads as its characters
     if not isinstance(values, list):
-        raise SpecError(f"{where}: expected a list of integers, got {values!r}")
-    return tuple(_int(x, where) for x in values)
+        raise SpecError(f"{where}: expected a list of {of}, got {values!r}")
+    return values
+
+
+def _ints(values, where: str) -> tuple[int, ...]:
+    return tuple(_int(x, where) for x in _list(values, where, "integers"))
 
 
 def _interval(value, where: str) -> range:
@@ -101,10 +106,7 @@ def _str(value, where: str) -> str:
 
 
 def _strs(values, where: str) -> list[str]:
-    # sorted() would read the string "M1N2" as the list ['1', '2', 'M', 'N']
-    if not isinstance(values, list):
-        raise SpecError(f"{where}: expected a list of strings, got {values!r}")
-    return [_str(x, f"{where}[{i}]") for i, x in enumerate(values)]
+    return [_str(x, f"{where}[{i}]") for i, x in enumerate(_list(values, where, "strings"))]
 
 
 def _choice(value, known, where: str) -> str:
@@ -144,11 +146,17 @@ def _class_set(records):
 
 
 def _expected_class_set(surface, maps, where: str):
-    return sorted(format_class(resolve_class(surface.lattice, m, where)) for m in maps)
+    return sorted(format_class(resolve_class(surface.lattice, m, where))
+                  for m in _list(maps, where, "classes"))
+
+
+def _matrix(rows, where: str) -> list[list[Fraction]]:
+    return [[_rat(x, where) for x in _list(row, f"{where}[{i}]", "entries")]
+            for i, row in enumerate(_list(rows, where, "rows"))]
 
 
 def _abstract_lattice(basis, gram):
-    return abstract_lattice(basis, [[_rat(x, "gram") for x in row] for row in gram])
+    return abstract_lattice(_strs(basis, "basis"), _matrix(gram, "gram"))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +184,7 @@ def check_abstract_adjunction_genus(wb, name, basis, gram, class_, k_class, expe
 
 
 def check_gram_det(wb, name, matrix, expected):
-    det = gram_det([[_rat(x, "matrix") for x in row] for row in matrix])
+    det = gram_det(_matrix(matrix, "matrix"))
     return [equality_check(name, det, _rat(expected, "expected"))]
 
 
@@ -215,9 +223,8 @@ def check_hodge_bound(wb, name, k2, kd, expected, d2=None):
 
 def check_collinear_sets(wb, name, surface, expected):
     got = sorted(sorted(group) for group in surface.collinear_sets)
-    if not isinstance(expected, list):
-        raise SpecError(f"expected: expected a list of lists of strings, got {expected!r}")
-    expected = sorted(sorted(_strs(group, f"expected[{i}]")) for i, group in enumerate(expected))
+    expected = sorted(sorted(_strs(group, f"expected[{i}]"))
+                      for i, group in enumerate(_list(expected, "expected", "lists of strings")))
     return [equality_check(name, got, expected)]
 
 
@@ -240,6 +247,7 @@ def check_catalog_counts(wb, name, surface, expected_minus_one, expected_minus_t
 
 
 def check_pencils_include(wb, name, surface, classes):
+    classes = _list(classes, "classes", "classes")
     resolved = [resolve_class(surface.lattice, m, "classes") for m in classes]
     found = {pen.cls.coeffs for pen in surface_mod.find_pencils(surface)}
     missing = [m for m, cls in zip(classes, resolved) if cls.coeffs not in found]
@@ -255,8 +263,9 @@ def _decomposition_key(parts):
 
 def check_singular_members(wb, name, surface, pencil, expected):
     pencil = surface_mod.Pencil(resolve_class(surface.lattice, pencil, "pencil"))
+    expected = _list(expected, "expected", "decompositions")
     for i, decomp in enumerate(expected):
-        for j, part in enumerate(decomp):
+        for j, part in enumerate(_list(decomp, f"expected[{i}]", "parts")):
             _fields(part, f"expected[{i}][{j}]", ("class", "multiplicity"))
     expected = sorted(
         tuple(sorted((format_class(resolve_class(surface.lattice, part["class"], "expected.class")),
@@ -270,7 +279,8 @@ def check_singular_members(wb, name, surface, pencil, expected):
 
 def check_contract(wb, name, surface, classes, expected_nodes, expected_k2_after,
                    expected_disjoint_remainder=None):
-    resolved = [resolve_class(surface.lattice, m, "classes") for m in classes]
+    resolved = [resolve_class(surface.lattice, m, "classes")
+                for m in _list(classes, "classes", "classes")]
     expected = (_int(expected_nodes, "expected_nodes"),
                 str(_rat(expected_k2_after, "expected_k2_after")))
     by_class = surface.catalog_by_class()
@@ -355,7 +365,7 @@ def check_solve_matches_derived(wb, name, cover):
 
 
 def check_branch_points(wb, name, cover, expected_nodes, expected_total_nodes):
-    for i, n in enumerate(expected_nodes):
+    for i, n in enumerate(_list(expected_nodes, "expected_nodes", "nodes")):
         _fields(n, f"expected_nodes[{i}]", ("pair", "points", "preimages", "inertia_order"))
     expected_nodes = sorted(
         (tuple(sorted(_strs(n["pair"], f"expected_nodes[{i}].pair"))),
@@ -490,7 +500,8 @@ def check_diophantine(wb, name, constraint, expected, box=None, target=None):
         _fields(box, "box", lef.NAMED_CONSTRAINTS[constraint][0])  # one per variable
         box = {k: _interval(bounds, f"box.{k}") for k, bounds in box.items()}
     target = None if target is None else _ints(target, "target")
-    expected = sorted(_ints(sol, "expected") for sol in expected)
+    expected = sorted(_ints(sol, f"expected[{i}]")
+                      for i, sol in enumerate(_list(expected, "expected", "solutions")))
     got = lef.diophantine_enumerate(constraint, box=box, target=target)
     return [equality_check(name, sorted(got), expected)]
 

@@ -64,8 +64,8 @@ class BranchComponent:
 @dataclass(frozen=True)
 class CoverSpec:
     """Building data of one cover.  Frozen, so the derived data cached on
-    first use (pair_divisors, all_l, branch_points, ramification) can never
-    go stale."""
+    first use (pair_divisors, levels, all_l, branch_points, ramification)
+    can never go stale."""
 
     name: str
     group: FiniteAbelianGroup
@@ -81,6 +81,14 @@ class CoverSpec:
         for b in self.branch:
             sums[b.pair] = sums[b.pair] + b.curve if b.pair in sums else b.curve
         return tuple(sums.items())
+
+    @cached_property
+    def levels(self) -> tuple[MappingProxyType, ...]:
+        """For each pair of pair_divisors, in the same order, the map from
+        every character of the group to its restriction level on the pair."""
+        characters = self.group.characters()
+        return tuple(MappingProxyType({chi: restriction_level(pair, chi) for chi in characters})
+                     for pair, _d in self.pair_divisors)
 
     @cached_property
     def all_l(self) -> MappingProxyType:
@@ -103,20 +111,13 @@ class CoverSpec:
         return sum((d for _pair, d in self.pair_divisors), self.base.lattice.zero())
 
 
-def _epsilon(pair: CyclicPair, chi1: Character, chi2: Character) -> int:
-    """1 when the restriction levels of the two characters wrap past the
-    subgroup order, 0 otherwise."""
-    m = pair.order
-    return 1 if restriction_level(pair, chi1) + restriction_level(pair, chi2) >= m else 0
-
-
 def relation_rhs(spec: CoverSpec, chi: Character) -> DivisorClass:
     """sum over pairs of (m*f/m_C)*D_pair, which m*L_chi must equal
     (m the order of chi, f its restriction level on the pair)."""
     m = spec.group.element_order(chi)
     rhs = spec.base.lattice.zero()
-    for pair, d in spec.pair_divisors:
-        weight = Fraction(m * restriction_level(pair, chi), pair.order)
+    for (pair, d), level in zip(spec.pair_divisors, spec.levels):
+        weight = Fraction(m * level[chi], pair.order)
         if weight.denominator != 1:
             raise CoverDataError("restriction level incompatible with character order")
         rhs = rhs + int(weight) * d
@@ -124,10 +125,11 @@ def relation_rhs(spec: CoverSpec, chi: Character) -> DivisorClass:
 
 
 def pair_rule_term(spec: CoverSpec, a: Character, b: Character) -> DivisorClass:
-    """sum(eps*D_pair), by which L_a + L_b exceeds L_ab."""
+    """sum(eps*D_pair), by which L_a + L_b exceeds L_ab: eps is 1 when the
+    restriction levels of a and b on the pair wrap past its order."""
     total = spec.base.lattice.zero()
-    for pair, d in spec.pair_divisors:
-        if _epsilon(pair, a, b):
+    for (pair, d), level in zip(spec.pair_divisors, spec.levels):
+        if level[a] + level[b] >= pair.order:
             total = total + d
     return total
 

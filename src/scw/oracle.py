@@ -10,15 +10,18 @@ m_i at each realized point.  Its rank over Q is certified: the rank mod the
 prime exactla.PRIME, just below 2^30, is a lower bound, exact when it is
 full.  The rows are built as residues directly, so every entry is a single
 30-bit CPython digit; the exact integer rows are built only when that rank
-is not full, and fraction-free elimination over Z then decides.  Results are
-accepted only on consensus across several seeds.
+is not full, and fraction-free elimination over Z then decides.  The residue
+rows of one condition depend only on (point, multiplicity, degree), so each
+`Realization` keeps every block it has built, keyed so, and later queries
+join the cached blocks.  Results are accepted only on consensus across
+several seeds.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, gcd, perm
 
 from .exactla import PRIME, rank
@@ -146,6 +149,9 @@ class Realization:
     seed: int
     points: dict[str, Triple]
     lines: dict[str, Triple]
+    # (point name, multiplicity, degree) -> that condition's residue rows
+    blocks: dict[tuple[str, int, int], tuple[tuple[int, ...], ...]] = field(
+        default_factory=dict, compare=False, repr=False)
 
 
 class _Degenerate(Exception):
@@ -299,7 +305,6 @@ def h0_from_realization(realization: Realization, degree: int, multiplicities: d
     """
     if degree < 0:
         return 0
-    monomials = list(_monomial_exponents(degree))
     conditions = []
     for name, mult in sorted(multiplicities.items()):
         if mult <= 0:
@@ -309,14 +314,22 @@ def h0_from_realization(realization: Realization, degree: int, multiplicities: d
             # (the order-(m-1) partials would be identically zero for
             # m > d+1, so this case must short-circuit)
             return 0
-        conditions.append((realization.points[name], mult))
+        conditions.append((name, realization.points[name], mult))
     n_cols = comb(degree + 2, 2)
     if not conditions:
         return n_cols
-    residues = [row for point, mult in conditions
-                for row in _residue_rows(point, mult, degree, monomials)]
+    blocks, monomials = realization.blocks, None
+    residues = []
+    for name, point, mult in conditions:
+        block = blocks.get((name, mult, degree))
+        if block is None:
+            monomials = monomials or list(_monomial_exponents(degree))
+            block = blocks[name, mult, degree] = tuple(
+                map(tuple, _residue_rows(point, mult, degree, monomials)))
+        residues.extend(block)
     return n_cols - rank(residues, exact=lambda: [
-        row for point, mult in conditions
+        row for monomials in [list(_monomial_exponents(degree))]
+        for _name, point, mult in conditions
         for row in _multiplicity_rows(point, mult, degree, monomials)])
 
 

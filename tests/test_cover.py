@@ -11,9 +11,9 @@ from scw.cover import (AccountingError, BranchComponent, BranchPointAnalysis, Co
                        VERDICT_NODE_A1, VERDICT_SMOOTH, VERDICT_UNSUPPORTED,
                        building_data_relations, canonical_cover, character_unknown_name,
                        classify_branch_points, derive_all_L, h0_vanishing_checks, invariants,
-                       minimal_model, node_count, preimage_consistency, pullback,
-                       quotient_cover, validate_cover_data)
-from scw.groups import CyclicPair, FiniteAbelianGroup
+                       minimal_model, node_count, pair_rule_term, preimage_consistency,
+                       pullback, quotient_cover, validate_cover_data)
+from scw.groups import CyclicPair, FiniteAbelianGroup, restriction_level
 from scw.lattice import adjunction_genus, solve_linear
 
 
@@ -81,6 +81,35 @@ def test_solver_route_matches_derivation(cover_g, cover_h):
             if chi == spec.group.identity():
                 continue
             assert solution.classes[character_unknown_name(chi)] == cls
+
+
+def _epsilon(pair, chi1, chi2):
+    """1 when the restriction levels of the two characters wrap past the
+    subgroup order, 0 otherwise, computed afresh."""
+    return 1 if restriction_level(pair, chi1) + restriction_level(pair, chi2) >= pair.order else 0
+
+
+def reference_pair_rule_term(spec, a, b):
+    """sum(eps*D_pair), with each restriction level recomputed per call."""
+    total = spec.base.lattice.zero()
+    for pair, d in spec.pair_divisors:
+        if _epsilon(pair, a, b):
+            total = total + d
+    return total
+
+
+def test_levels_are_the_restriction_levels(cover_g, cover_h):
+    for spec in (cover_g, cover_h):
+        assert len(spec.levels) == len(spec.pair_divisors)
+        for (pair, _d), level in zip(spec.pair_divisors, spec.levels):
+            assert dict(level) == {chi: restriction_level(pair, chi)
+                                   for chi in spec.group.characters()}
+
+
+def test_pair_rule_term_matches_per_call_reference(cover_g, cover_h):
+    for spec in (cover_g, cover_h):
+        for a, b in itertools.product(spec.group.characters(), repeat=2):
+            assert pair_rule_term(spec, a, b) == reference_pair_rule_term(spec, a, b)
 
 
 def test_classify_branch_points_g(cover_g):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import scw.exactla as exactla
 from scw.exactla import PRIME, det_bareiss
 from scw.oracle import (FreePoint, Realization, _monomial_exponents, _multiplicity_rows,
-                        _residue_rows, h0_from_realization, realize_configuration)
+                        _residue_rows, h0_from_realization, realization_to_json,
+                        realize_configuration)
 
 PROPS = settings(max_examples=100, deadline=None)
 RATIONALS = st.integers(-2, 2) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -180,6 +181,63 @@ def test_h0_full_rank_over_q_but_not_mod_the_prime_falls_back(fallbacks):
     realization = Realization(seed=0, points={"a": (PRIME, 0, 1), "b": (0, 0, 1)}, lines={})
     assert h0_from_realization(realization, 1, {"a": 1, "b": 1}) == 1
     assert fallbacks == [(2, 3)]
+    # the second query joins cached residue blocks, and still falls back
+    assert set(realization.blocks) == {("a", 1, 1), ("b", 1, 1)}
+    assert h0_from_realization(realization, 1, {"a": 1, "b": 1}) == 1
+    assert fallbacks == [(2, 3), (2, 3)]
+
+
+POINT_NAMES = [f"p{i}" for i in range(7)]
+
+
+@st.composite
+def h0_queries(draw):
+    """A number of general points, a seed, and (degree, multiplicities)
+    queries on them: a few multiplicity maps, each at a few degrees, so that
+    the same condition recurs at one degree and at others."""
+    n = draw(st.integers(1, len(POINT_NAMES)))
+    maps = draw(st.lists(st.fixed_dictionaries(
+        {name: st.integers(-1, 4) for name in POINT_NAMES[:n]}), min_size=1, max_size=3))
+    degrees = draw(st.lists(st.integers(-1, 7), min_size=1, max_size=4))
+    queries = [(degree, mults) for mults in maps for degree in degrees]
+    return n, draw(st.integers(0, 3)), draw(st.permutations(queries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(h0_queries())
+def test_h0_on_a_used_realization_equals_h0_on_a_fresh_one(case):
+    n, seed, queries = case
+    script = [FreePoint(name) for name in POINT_NAMES[:n]]
+    used = realize_configuration(script, seed)
+    for degree, mults in queries:
+        h0_from_realization(used, degree, mults)
+    for degree, mults in reversed(queries):
+        fresh = realize_configuration(script, seed)
+        assert h0_from_realization(used, degree, mults) == h0_from_realization(
+            fresh, degree, mults)
+
+
+def test_cached_blocks_are_the_residue_rows_after_rank():
+    realization = realize_configuration([FreePoint(name) for name in POINT_NAMES], 0)
+    for degree in range(1, 8):
+        for k in range(len(POINT_NAMES)):
+            h0_from_realization(realization, degree, {
+                name: (i + k) % (degree + 1) for i, name in enumerate(POINT_NAMES)})
+    assert len(realization.blocks) > 50
+    for (name, mult, degree), block in realization.blocks.items():
+        rows = _residue_rows(realization.points[name], mult, degree,
+                             list(_monomial_exponents(degree)))
+        assert block == tuple(map(tuple, rows))
+
+
+def test_realization_equality_and_export_ignore_the_row_blocks():
+    script = [FreePoint(name) for name in POINT_NAMES[:4]]
+    used, fresh = realize_configuration(script, 5), realize_configuration(script, 5)
+    h0_from_realization(used, 3, dict.fromkeys(POINT_NAMES[:4], 2))
+    assert used.blocks and not fresh.blocks
+    assert used == fresh
+    assert repr(used) == repr(fresh)
+    assert realization_to_json(used) == realization_to_json(fresh)
 
 
 COORDS = (st.integers(-(2**70), 2**70) | st.integers(2**30, 2**40)

@@ -425,6 +425,29 @@ def _rename(old, new):
     (_only_check("inoue_z2z4", "z2z4/branch-points",
                  lambda c: c["expected_nodes"][0].update(pair=["Lambda2", 2])),
      "check z2z4/branch-points: expected_nodes[0].pair[1]: expected a string, got 2"),
+    # a number where a list belongs, which iteration would meet as a TypeError
+    (_one_check_file(kind="diophantine", constraint="commuting-cubic", expected=5),
+     "check x: expected: expected a list of solutions, got 5"),
+    (_one_check_file(kind="diophantine", constraint="commuting-cubic", expected=[5]),
+     "check x: expected[0]: expected a list of integers, got 5"),
+    (_only_check("inoue_z2z4", "z2z4/branch-points", lambda c: c.update(expected_nodes=5)),
+     "check z2z4/branch-points: expected_nodes: expected a list of nodes, got 5"),
+    (_only_check("inoue_z2z4", "Y/singular-members-Phi", lambda c: c.update(expected=5)),
+     "check Y/singular-members-Phi: expected: expected a list of decompositions, got 5"),
+    (_only_check("inoue_z2z4", "Y/singular-members-Phi", lambda c: c["expected"].append(5)),
+     "check Y/singular-members-Phi: expected[3]: expected a list of parts, got 5"),
+    (_only_check("inoue_z2z4", "Y/minus-two-curves", lambda c: c.update(expected_classes=5)),
+     "check Y/minus-two-curves: expected_classes: expected a list of classes, got 5"),
+    (_only_check("inoue_bidouble", "W/diagonals-isolated",
+                 lambda c: c.update(expected_classes=5)),
+     "check W/diagonals-isolated: expected_classes: expected a list of classes, got 5"),
+    (_only_check("inoue_bidouble", "W/pencils", lambda c: c.update(classes=5)),
+     "check W/pencils: classes: expected a list of classes, got 5"),
+    (_one_check_file(kind="gram_det", matrix=[[1, 0], 5], expected=1),
+     "check x: matrix[1]: expected a list of entries, got 5"),
+    (_one_check_file(kind="abstract_self_intersection", basis="KE", gram=[[7, 0], [0, 1]],
+                     **{"class": {"K": 1}}, expected=7),
+     "check x: basis: expected a list of strings, got 'KE'"),
 ])
 def test_bad_check_field_is_an_input_error(tmp_path, capsys, data, message):
     from scw.cli import main
