@@ -455,9 +455,11 @@ def check_quotient_cover(wb, name, cover, character, expected_branch, expected_k
 
 
 def check_minimal_model(wb, name, cover, simple, node_threading, contract, expected_k2,
-                        expect_ample=False):
+                        expect_ample=None):
+    # expect_ample is a claim either way, true or false; absent, no claim
     expected_k2 = _rat(expected_k2, "expected_k2")
-    expect_ample = _bool(expect_ample, "expect_ample")
+    if expect_ample is not None:
+        expect_ample = _bool(expect_ample, "expect_ample")
     plan = cover_mod.ContractionPlan(
         simple=_int(simple, "simple"),
         node_threading=_int(node_threading, "node_threading"),
@@ -465,8 +467,8 @@ def check_minimal_model(wb, name, cover, simple, node_threading, contract, expec
     )
     inv = cover_mod.minimal_model(cover, plan)
     checks = [equality_check(f"{name}/k2", inv.k2_minimal, expected_k2)]
-    if expect_ample:
-        checks.append(equality_check(f"{name}/ample-proxy", inv.ample_proxy, True))
+    if expect_ample is not None:
+        checks.append(equality_check(f"{name}/ample-proxy", inv.ample_proxy, expect_ample))
     return checks
 
 

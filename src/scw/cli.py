@@ -7,7 +7,8 @@
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
 The seed defaults to the SCW_SEED environment variable (then 0); the
---seed flag overrides both.
+--seed flag overrides both.  With SCW_DEBUG=1, an unexpected exception also
+prints its traceback to stderr; exit codes and stdout stay the same.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import workbench
 from .checks import NAMED_CHECKS, resolve_class
@@ -129,6 +131,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except Exception as exc:  # input errors must never escape as tracebacks
+        if os.environ.get("SCW_DEBUG") == "1":
+            traceback.print_exc(file=sys.stderr)
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_INPUT
 

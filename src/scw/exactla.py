@@ -7,10 +7,15 @@ integer rows by the lcm of their denominators.  The rank of an integer
 matrix is eliminated mod the prime PRIME first: a minor that is nonzero mod
 p is nonzero over Z, so that rank is a lower bound over Q, and exact when it
 is full.  Only otherwise does fraction-free (Bareiss) elimination over Z
-decide.  PRIME is the largest prime below 2^30, so every residue is a single
-30-bit CPython digit and each reduction divides by a single digit; a larger
-prime would make the elimination multi-digit arithmetic.  No floating point
-anywhere.
+decide.  PRIME is the largest prime below 2^30.  No floating point anywhere.
+
+The matrix mod PRIME is packed: each row is one Python int with a slot of
+`slot_width(ncols)` bits per column, column 0 lowest.  Eliminating a column
+reduces only the pivot row mod PRIME, once; every other row x becomes
+(x >> width) + f * tail, two big-int operations in C, and is never reduced.
+The slots only grow, so no borrow crosses a slot, and the width keeps every
+slot below 2^width, so no carry does: a slot starts below PRIME and gains
+at most (PRIME-1)^2 per column eliminated, and there are fewer than ncols.
 """
 
 from __future__ import annotations
@@ -54,24 +59,64 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
     return r, sign * prev
 
 
-def _rank_mod_p(rows: list[list[int]]) -> int:
-    """Rank over Z/PRIME of rows of residues in [0, PRIME).
+def slot_width(ncols: int) -> int:
+    """Bits per column of a packed row of ncols residues.
 
-    Each step removes its pivot row and keeps the other rows only right of
-    the pivot column, since they are zero up to it; k is the offset of the
-    current column in the rows kept.  The input rows are not modified.
+    A slot stays below PRIME + ncols*(PRIME-1)^2 (module docstring), which
+    is below 2^(2*30 + ncols.bit_length() + 1).
     """
-    m, r, k = list(rows), 0, 0
-    for _ in range(len(m[0]) if m else 0):
-        piv = next((i for i, row in enumerate(m) if row[k]), None)
+    return 2 * PRIME.bit_length() + ncols.bit_length() + 1
+
+
+def pack(residues, width: int) -> int:
+    """The residues as one int, column j in bits [j*width, (j+1)*width)."""
+    x = 0
+    for v in reversed(residues):
+        x = x << width | v
+    return x
+
+
+class Packed:
+    """A matrix of residues mod PRIME: `rows` packed at the slot width of
+    `ncols`.  As a sequence it is its rows of residues, so the argument of
+    `rank` is still a sequence of rows whose length and first row's length
+    are the matrix size (the tracing of perfbench reads them)."""
+
+    __slots__ = ("rows", "ncols")
+
+    def __init__(self, rows: list[int], ncols: int):
+        self.rows, self.ncols = rows, ncols
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> list[int]:
+        w, x = slot_width(self.ncols), self.rows[i]
+        return [(x >> j * w) & ((1 << w) - 1) for j in range(self.ncols)]
+
+
+def _rank_mod_p(rows: list[int], ncols: int) -> int:
+    """Rank over Z/PRIME of packed rows of ncols residues.
+
+    Column by column, the pivot is the first row whose low slot is nonzero
+    mod PRIME; it leaves the rows, and its tail is reduced mod PRIME.  Every
+    other row drops its low slot and adds f times that tail, where f is
+    minus its low slot over the pivot's, mod PRIME.  The input is not
+    modified.
+    """
+    w = slot_width(ncols)
+    low = (1 << w) - 1
+    m, r = list(rows), 0
+    for k in range(ncols):
+        piv = next((i for i, x in enumerate(m) if (x & low) % PRIME), None)
         if piv is None:
-            k += 1
+            m = [x >> w for x in m]
             continue
         top = m.pop(piv)
-        neg_inv, tail = PRIME - pow(top[k], -1, PRIME), top[k + 1:]
-        m = [[(x + f * y) % PRIME for x, y in zip(row[k + 1:], tail)]
-             if (f := row[k] * neg_inv % PRIME) else row[k + 1:] for row in m]
-        r, k = r + 1, 0
+        neg_inv = PRIME - pow((top & low) % PRIME, -1, PRIME)
+        tail = pack([((top >> j * w) & low) % PRIME for j in range(1, ncols - k)], w)
+        m = [(x >> w) + (x & low) * neg_inv % PRIME * tail for x in m]
+        r += 1
         if not m:
             break
     return r
@@ -93,16 +138,16 @@ def det_bareiss(rows) -> Fraction:
     return Fraction(det, prod(d for _, d in scaled)) if r == n else Fraction(0)
 
 
-def rank(residues: list[list[int]], exact) -> int:
+def rank(residues: Packed, exact) -> int:
     """Rank over Q of an integer matrix: mod PRIME when that rank is full,
     else by exact Bareiss.
 
-    `residues` is the matrix reduced mod PRIME, and `exact` a function
-    returning the integer matrix itself, which is called only when the
-    rank mod PRIME is not full; the matrix it returns is overwritten.
+    `residues` is the matrix reduced mod PRIME, packed, and `exact` a
+    function returning the integer matrix itself, which is called only when
+    the rank mod PRIME is not full; the matrix it returns is overwritten.
     """
-    r = _rank_mod_p(residues)
-    if not residues or r == min(len(residues), len(residues[0])):
+    r = _rank_mod_p(residues.rows, residues.ncols)
+    if r == min(len(residues.rows), residues.ncols):
         return r
     return _bareiss(exact())[0]
 

@@ -8,13 +8,14 @@ undeclared collinearities) are rejected and retried.  h^0 of d*L - sum(m_i
 E_i) is then the corank of the interpolation matrix imposing multiplicity
 m_i at each realized point.  Its rank over Q is certified: the rank mod the
 prime exactla.PRIME, just below 2^30, is a lower bound, exact when it is
-full.  The rows are built as residues directly, so every entry is a single
-30-bit CPython digit; the exact integer rows are built only when that rank
-is not full, and fraction-free elimination over Z then decides.  The residue
-rows of one condition depend only on (point, multiplicity, degree), so each
-`Realization` keeps every block it has built, keyed so, and later queries
-join the cached blocks.  Results are accepted only on consensus across
-several seeds.
+full.  The rows are built as residues directly and packed one int per row
+(the format of `exactla`); the exact integer rows are built only when that
+rank is not full, and fraction-free elimination over Z then decides.  The
+residue rows of one condition depend only on (point, multiplicity, degree),
+and the slot width only on the degree, so each `Realization` keeps every
+block it has built, packed and keyed so, and later queries join the cached
+blocks without packing again.  Results are accepted only on consensus
+across several seeds.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from math import comb, gcd, perm
 
-from .exactla import PRIME, rank
+from .exactla import PRIME, Packed, pack, rank, slot_width
 
 COORD_BOX = 10_000
 MAX_ATTEMPTS = 64
@@ -149,8 +150,9 @@ class Realization:
     seed: int
     points: dict[str, Triple]
     lines: dict[str, Triple]
-    # (point name, multiplicity, degree) -> that condition's residue rows
-    blocks: dict[tuple[str, int, int], tuple[tuple[int, ...], ...]] = field(
+    # (point name, multiplicity, degree) -> that condition's residue rows,
+    # packed at the slot width of the degree's column count
+    blocks: dict[tuple[str, int, int], tuple[int, ...]] = field(
         default_factory=dict, compare=False, repr=False)
 
 
@@ -318,16 +320,16 @@ def h0_from_realization(realization: Realization, degree: int, multiplicities: d
     n_cols = comb(degree + 2, 2)
     if not conditions:
         return n_cols
-    blocks, monomials = realization.blocks, None
+    blocks, monomials, width = realization.blocks, None, slot_width(n_cols)
     residues = []
     for name, point, mult in conditions:
         block = blocks.get((name, mult, degree))
         if block is None:
             monomials = monomials or list(_monomial_exponents(degree))
             block = blocks[name, mult, degree] = tuple(
-                map(tuple, _residue_rows(point, mult, degree, monomials)))
+                pack(row, width) for row in _residue_rows(point, mult, degree, monomials))
         residues.extend(block)
-    return n_cols - rank(residues, exact=lambda: [
+    return n_cols - rank(Packed(residues, n_cols), exact=lambda: [
         row for monomials in [list(_monomial_exponents(degree))]
         for _name, point, mult in conditions
         for row in _multiplicity_rows(point, mult, degree, monomials)])

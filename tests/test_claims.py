@@ -1,0 +1,104 @@
+"""Every bundled claim is falsifiable: changing an expected value of any
+bundled check entry makes that entry print a FAIL line or exit 2.
+
+A check whose verdict does not depend on its expected value is silently
+vacuous; this sweep finds one as soon as it is added.  Each `expect*` field
+of every entry of the two fixtures and of NAMED_CHECKS is mutated: numbers
+by +-1, booleans negated, "p/q" strings by +1, names renamed, list elements
+dropped, duplicated or changed, and class-map keys deleted or changed.
+"""
+
+import functools
+import json
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+from scw.checks import FIELDS, NAMED_CHECKS, run_check
+from scw.report import FAIL
+from scw.workbench import FORMAT_VERSION, SpecError, Workbench, bundled_fixture_names, parse_data
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "scw" / "fixtures"
+NAMED = "named checks"
+# optional keys of an expected map: like an optional field, absent is no claim
+OPTIONAL_KEYS = {"k2_cover"}
+
+
+@functools.cache
+def _file(name: str) -> dict:
+    if name == NAMED:
+        return {"version": FORMAT_VERSION,
+                "checks": [entry for tag in sorted(NAMED_CHECKS) for entry in NAMED_CHECKS[tag]]}
+    return json.loads((FIXTURES / name).read_text())
+
+
+@functools.cache
+def _workbench(name: str) -> Workbench:
+    return Workbench(parse_data(_file(name), where=name))
+
+
+ENTRIES = [(name, i) for name in (*bundled_fixture_names(), NAMED)
+           for i, entry in enumerate(_file(name)["checks"])
+           if any(key.startswith("expect") for key in entry)]
+
+
+def mutations(value):
+    """Values near `value` that a claim must tell apart from it."""
+    if isinstance(value, bool):
+        yield not value
+    elif isinstance(value, int):
+        yield from (value + 1, value - 1)
+    elif isinstance(value, str):
+        try:
+            yield str(Fraction(value) + 1)
+        except ValueError:
+            yield value + "x"
+    elif value is None:
+        yield [0, 0]
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield value[:i] + value[i + 1:]
+            yield value[:i + 1] + value[i:]
+            for changed in mutations(item):
+                yield value[:i] + [changed] + value[i + 1:]
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            if key not in OPTIONAL_KEYS:
+                yield {k: v for k, v in value.items() if k != key}
+            for changed in mutations(item):
+                yield {**value, key: changed}
+
+
+def verdict(name: str, entry: dict) -> str:
+    """"exit 2" when the entry is an input error, "FAIL" when one of its
+    report lines fails, else the statuses of its report lines."""
+    try:
+        parse_data({**_file(name), "checks": [entry]}, where=name)
+        statuses = {c.status for c in run_check(_workbench(name), entry)}
+    except SpecError:
+        return "exit 2"
+    return "FAIL" if FAIL in statuses else ",".join(sorted(statuses))
+
+
+@pytest.mark.parametrize("name, index", ENTRIES,
+                         ids=[_file(name)["checks"][i]["name"] for name, i in ENTRIES])
+def test_every_expected_value_is_a_claim(name, index):
+    entry = _file(name)["checks"][index]
+    assert verdict(name, entry) == "pass"
+    survivors = []
+    for key, value in entry.items():
+        if key.startswith("expect"):
+            for changed in mutations(value):
+                got = verdict(name, {**entry, key: changed})
+                if got not in ("FAIL", "exit 2"):
+                    survivors.append((key, changed, got))
+    assert not survivors
+
+
+def test_entries_left_out_of_the_sweep_have_no_expected_field():
+    for name in (*bundled_fixture_names(), NAMED):
+        for i, entry in enumerate(_file(name)["checks"]):
+            if (name, i) not in ENTRIES:
+                required, optional = FIELDS[entry["kind"]]
+                assert not any(f.startswith("expect") for f in (*required, *optional))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scw.exactla as exactla
-from scw.exactla import PRIME, det_bareiss
+from scw.exactla import PRIME, Packed, det_bareiss, pack, slot_width
 from scw.oracle import (FreePoint, Realization, _monomial_exponents, _multiplicity_rows,
                         _residue_rows, h0_from_realization, realization_to_json,
                         realize_configuration)
@@ -36,10 +36,21 @@ def reference_rank(rows) -> int:
     return r
 
 
+def packed(rows) -> Packed:
+    """An integer matrix mod PRIME, packed as h^0 packs it."""
+    ncols = len(rows[0]) if rows else 0
+    width = slot_width(ncols)
+    return Packed([pack([x % PRIME for x in row], width) for row in rows], ncols)
+
+
 def rank(rows) -> int:
     """exactla.rank of an integer matrix, called as h^0 calls it."""
-    return exactla.rank([[x % PRIME for x in row] for row in rows],
-                        lambda: [list(row) for row in rows])
+    return exactla.rank(packed(rows), lambda: [list(row) for row in rows])
+
+
+def rank_mod_p(rows) -> int:
+    residues = packed(rows)
+    return exactla._rank_mod_p(residues.rows, residues.ncols)
 
 
 def reference_rank_mod_p(rows) -> int:
@@ -125,10 +136,33 @@ def test_rank_with_rows_times_the_prime(rows):
 
 
 @settings(max_examples=300, deadline=None)
-@given(zeroed_columns() | scaled_rows(lambda x, draw: x * PRIME ** draw(st.integers(1, 2))))
+@given(zeroed_columns() | scaled_rows(lambda x, draw: x * PRIME ** draw(st.integers(1, 2)))
+       | low_rank(st.integers(0, PRIME - 1)))
 def test_rank_mod_p_matches_whole_row_elimination(rows):
-    residues = [[x % PRIME for x in row] for row in rows]
-    assert exactla._rank_mod_p(residues) == reference_rank_mod_p(rows)
+    assert rank_mod_p(rows) == reference_rank_mod_p(rows)
+
+
+def test_slot_width_holds_every_slot():
+    # a slot stays below PRIME + ncols*(PRIME-1)^2 (exactla docstring)
+    for ncols in range(1, 4097):
+        assert PRIME + ncols * (PRIME - 1) ** 2 < 2 ** slot_width(ncols)
+
+
+def test_packed_rows_read_back_as_residue_rows():
+    rows = [[0, PRIME - 1, 5], [PRIME - 1] * 3]
+    assert list(packed(rows)) == rows
+    assert len(packed(rows)) == 2 and len(packed([])) == 0
+
+
+def test_rank_mod_p_of_the_largest_interpolation_matrix():
+    # degree 12, multiplicity 4 at 9 of 10 general points: 90 x 91, rank 90
+    realization = realize_configuration([FreePoint(f"p{i}") for i in range(10)], 0)
+    monomials = list(_monomial_exponents(12))
+    rows = [row for i in range(9)
+            for row in _residue_rows(realization.points[f"p{i}"], 4, 12, monomials)]
+    assert (len(rows), len(monomials)) == (90, 91)
+    assert rank_mod_p(rows) == reference_rank_mod_p(rows) == 90
+    assert h0_from_realization(realization, 12, {f"p{i}": 4 for i in range(9)}) == 1
 
 
 @PROPS
@@ -225,9 +259,9 @@ def test_cached_blocks_are_the_residue_rows_after_rank():
                 name: (i + k) % (degree + 1) for i, name in enumerate(POINT_NAMES)})
     assert len(realization.blocks) > 50
     for (name, mult, degree), block in realization.blocks.items():
-        rows = _residue_rows(realization.points[name], mult, degree,
-                             list(_monomial_exponents(degree)))
-        assert block == tuple(map(tuple, rows))
+        monomials = list(_monomial_exponents(degree))
+        rows = _residue_rows(realization.points[name], mult, degree, monomials)
+        assert block == tuple(pack(row, slot_width(len(monomials))) for row in rows)
 
 
 def test_realization_equality_and_export_ignore_the_row_blocks():

@@ -567,3 +567,37 @@ def test_fault_injected_check_fails_cleanly():
     })
     report = run_suite(wf)
     assert [c.status for c in report.checks] == ["fail"]
+
+
+@pytest.mark.parametrize("debug", ["1", None])
+def test_scw_debug_prints_the_traceback_of_an_unexpected_exception(monkeypatch, capsys, debug):
+    from scw import cli
+
+    def broken(seed):
+        raise ZeroDivisionError("internal fault")
+
+    if debug:
+        monkeypatch.setenv("SCW_DEBUG", debug)
+    else:
+        monkeypatch.delenv("SCW_DEBUG", raising=False)
+    monkeypatch.setattr(workbench, "paper_suite", broken)
+    assert cli.main(["paper-suite"]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: ZeroDivisionError: internal fault\n")
+    assert ("Traceback (most recent call last)" in err) == bool(debug)
+    assert ("in broken" in err) == bool(debug)
+
+
+def test_scw_debug_leaves_output_and_reports_unchanged(monkeypatch, capsys, tmp_path):
+    from scw import cli
+
+    runs = []
+    for debug in ("0", "1"):
+        monkeypatch.setenv("SCW_DEBUG", debug)
+        report = tmp_path / f"report-{debug}.json"
+        code = cli.main(["verify", str(FIXTURES / "inoue_bidouble.json"),
+                         "--suite", "lattice", "--report", str(report)])
+        runs.append((code, capsys.readouterr(), report.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == cli.EXIT_OK
