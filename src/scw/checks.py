@@ -145,13 +145,18 @@ def _class_set(records):
     return sorted(format_class(r.cls) for r in records)
 
 
+def _classes(lattice, maps, where: str) -> list[DivisorClass]:
+    return [resolve_class(lattice, m, f"{where}[{i}]")
+            for i, m in enumerate(_list(maps, where, "classes"))]
+
+
 def _expected_class_set(surface, maps, where: str):
-    return sorted(format_class(resolve_class(surface.lattice, m, where))
-                  for m in _list(maps, where, "classes"))
+    return sorted(format_class(cls) for cls in _classes(surface.lattice, maps, where))
 
 
 def _matrix(rows, where: str) -> list[list[Fraction]]:
-    return [[_rat(x, where) for x in _list(row, f"{where}[{i}]", "entries")]
+    return [[_rat(x, f"{where}[{i}][{j}]")
+             for j, x in enumerate(_list(row, f"{where}[{i}]", "entries"))]
             for i, row in enumerate(_list(rows, where, "rows"))]
 
 
@@ -247,8 +252,7 @@ def check_catalog_counts(wb, name, surface, expected_minus_one, expected_minus_t
 
 
 def check_pencils_include(wb, name, surface, classes):
-    classes = _list(classes, "classes", "classes")
-    resolved = [resolve_class(surface.lattice, m, "classes") for m in classes]
+    resolved = _classes(surface.lattice, classes, "classes")
     found = {pen.cls.coeffs for pen in surface_mod.find_pencils(surface)}
     missing = [m for m, cls in zip(classes, resolved) if cls.coeffs not in found]
     status = PASS if not missing else FAIL
@@ -268,10 +272,11 @@ def check_singular_members(wb, name, surface, pencil, expected):
         for j, part in enumerate(_list(decomp, f"expected[{i}]", "parts")):
             _fields(part, f"expected[{i}][{j}]", ("class", "multiplicity"))
     expected = sorted(
-        tuple(sorted((format_class(resolve_class(surface.lattice, part["class"], "expected.class")),
-                      _int(part["multiplicity"], "expected.multiplicity"))
-                     for part in decomp))
-        for decomp in expected
+        tuple(sorted((format_class(resolve_class(surface.lattice, part["class"],
+                                                 f"expected[{i}][{j}].class")),
+                      _int(part["multiplicity"], f"expected[{i}][{j}].multiplicity"))
+                     for j, part in enumerate(decomp)))
+        for i, decomp in enumerate(expected)
     )
     got = sorted(_decomposition_key(d) for d in surface_mod.singular_members(surface, pencil))
     return [equality_check(name, got, expected)]
@@ -279,8 +284,7 @@ def check_singular_members(wb, name, surface, pencil, expected):
 
 def check_contract(wb, name, surface, classes, expected_nodes, expected_k2_after,
                    expected_disjoint_remainder=None):
-    resolved = [resolve_class(surface.lattice, m, "classes")
-                for m in _list(classes, "classes", "classes")]
+    resolved = _classes(surface.lattice, classes, "classes")
     expected = (_int(expected_nodes, "expected_nodes"),
                 str(_rat(expected_k2_after, "expected_k2_after")))
     by_class = surface.catalog_by_class()
@@ -369,9 +373,9 @@ def check_branch_points(wb, name, cover, expected_nodes, expected_total_nodes):
         _fields(n, f"expected_nodes[{i}]", ("pair", "points", "preimages", "inertia_order"))
     expected_nodes = sorted(
         (tuple(sorted(_strs(n["pair"], f"expected_nodes[{i}].pair"))),
-         _int(n["points"], "expected_nodes.points"),
-         _int(n["preimages"], "expected_nodes.preimages"),
-         _int(n["inertia_order"], "expected_nodes.inertia_order"))
+         _int(n["points"], f"expected_nodes[{i}].points"),
+         _int(n["preimages"], f"expected_nodes[{i}].preimages"),
+         _int(n["inertia_order"], f"expected_nodes[{i}].inertia_order"))
         for i, n in enumerate(expected_nodes)
     )
     expected_total = _int(expected_total_nodes, "expected_total_nodes")
@@ -643,94 +647,3 @@ def run_check(wb, params: dict) -> list[Check]:
     if "tag" in params:
         checks = [replace(c, tag=params["tag"]) for c in checks]
     return checks
-
-
-# ---------------------------------------------------------------------------
-# named numeric checks (addressable from the CLI by citation tag)
-
-NAMED_CHECKS: dict[str, list[dict]] = {
-    "lemma-2.2": [
-        {"name": "lemma-2.2/range", "kind": "range_filter", "suite": "lefschetz",
-         "tag": "lemma-2.2", "k2": 7, "expected": [1, 3, 5, 7]},
-        {"name": "lemma-2.2/range-hodge", "kind": "range_filter", "suite": "lefschetz",
-         "tag": "lemma-2.2", "k2": 7, "r2": 1, "expected": [3, 5, 7]},
-        {"name": "lemma-2.2/range-eliminated", "kind": "range_filter", "suite": "lefschetz",
-         "tag": "lemma-2.2", "k2": 7, "r2": 1, "exclude": [5, 7], "expected": [3]},
-        {"name": "lemma-2.2/det", "kind": "det_identity", "suite": "lefschetz",
-         "tag": "lemma-2.2", "a_min": -7, "a_max": 7, "b_min": -4, "b_max": 4},
-    ],
-    "lemma-3.1": [
-        {"name": "lemma-3.1/cubic", "kind": "diophantine", "suite": "lefschetz",
-         "tag": "lemma-3.1", "constraint": "commuting-cubic", "expected": [[0, 1]]},
-    ],
-    "lemma-3.2": [
-        {"name": "lemma-3.2/pencil-sum-bound", "kind": "hodge_bound", "suite": "lefschetz",
-         "tag": "lemma-3.2", "k2": 7, "kd": 6, "expected": 5},
-        {"name": "lemma-3.2/hodge-pass", "kind": "hodge_bound", "suite": "lefschetz",
-         "tag": "lemma-3.2", "k2": 7, "kd": 3, "d2": 1, "expected": True},
-    ],
-    "lemma-3.4": [
-        {"name": "lemma-3.4/unimodular-part", "kind": "diophantine", "suite": "lefschetz",
-         "tag": "lemma-3.4", "constraint": "pencil-part-det", "expected": [[-1]]},
-        {"name": "lemma-3.4/genus-A", "kind": "abstract_adjunction_genus", "suite": "lattice",
-         "tag": "lemma-3.4", "basis": ["K", "A"], "gram": [[7, 2], [2, 0]],
-         "class": {"A": 1}, "k_class": {"K": 1}, "expected": 2},
-        {"name": "lemma-3.4/genus-B", "kind": "abstract_adjunction_genus", "suite": "lattice",
-         "tag": "lemma-3.4", "basis": ["K", "B"], "gram": [[7, 1], [1, -1]],
-         "class": {"B": 1}, "k_class": {"K": 1}, "expected": 1},
-    ],
-    "prop-3.5": [
-        {"name": "prop-3.5/genus-F", "kind": "abstract_adjunction_genus", "suite": "lattice",
-         "tag": "prop-3.5", "basis": ["K", "F"], "gram": [[7, 3], [3, 1]],
-         "class": {"F": 1}, "k_class": {"K": 1}, "expected": 3},
-        {"name": "prop-3.5/K+F-squared", "kind": "abstract_self_intersection",
-         "suite": "lattice", "tag": "prop-3.5", "basis": ["K", "F"],
-         "gram": [[7, 3], [3, 1]], "class": {"K": 1, "F": 1}, "expected": 14},
-    ],
-    "prop-2.2": [
-        {"name": "prop-2.2/involution", "kind": "involution_counts", "suite": "lefschetz",
-         "tag": "prop-2.2", "kr": 3, "r2": 1, "expected": [7, 1]},
-        {"name": "prop-2.2/order3-balanced", "kind": "order3_counts", "suite": "lefschetz",
-         "tag": "prop-2.2", "kr": 0, "r2": 0, "tr": 4, "expected": [6, 0]},
-        {"name": "prop-2.2/order3-parity", "kind": "order3_counts", "suite": "lefschetz",
-         "tag": "prop-2.2", "kr": 1, "r2": 0, "tr": 0, "expected": None},
-    ],
-    "prop-3.7": [
-        {"name": "prop-3.7/five-points", "kind": "order3_counts", "suite": "lefschetz",
-         "tag": "prop-3.7", "kr": 2, "r2": -2, "tr": 3, "expected": [0, 5]},
-    ],
-    "section-3-quotient": [
-        {"name": "section-3-quotient/k2", "kind": "abstract_self_intersection",
-         "suite": "lattice", "tag": "section-3",
-         "basis": ["K", "F", "B", "aB"],
-         "gram": [[7, 3, 1, 1], [3, 1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1]],
-         "class": {"K": 1, "F": -3, "B": -2, "aB": -2},
-         "divide": 6, "expected": -3},
-    ],
-    "lemma-4.1": [
-        {"name": "lemma-4.1/involution", "kind": "involution_counts", "suite": "lefschetz",
-         "tag": "lemma-4.1", "kr": -1, "r2": -1, "expected": [3, 3]},
-    ],
-    "theorem-1.1:a": [
-        {"name": "theorem-1.1:a", "kind": "theorem11", "suite": "lefschetz",
-         "tag": "theorem-1.1", "case": "a"},
-    ],
-    "theorem-1.1:b": [
-        {"name": "theorem-1.1:b", "kind": "theorem11", "suite": "lefschetz",
-         "tag": "theorem-1.1", "case": "b"},
-    ],
-    "theorem-1.1:c": [
-        {"name": "theorem-1.1:c", "kind": "theorem11", "suite": "lefschetz",
-         "tag": "theorem-1.1", "case": "c"},
-    ],
-    "corollary-1.3": [
-        {"name": "corollary-1.3/seven-subgroups", "kind": "subgroups", "suite": "lefschetz",
-         "tag": "corollary-1.3", "orders": [2, 2, 2], "n": 4, "expected_count": 7},
-        {"name": "corollary-1.3/common-involution", "kind": "common_involution",
-         "suite": "lefschetz", "tag": "corollary-1.3", "orders": [2, 2, 2], "n": 4,
-         "expected": True},
-        {"name": "corollary-1.3/unique-z2z2", "kind": "subgroups", "suite": "lefschetz",
-         "tag": "corollary-1.3", "orders": [2, 4], "n": 4, "elementary_only": True,
-         "expected_count": 1},
-    ],
-}

@@ -3,7 +3,11 @@
     scw verify <file> [--suite NAME] [--seed N] [--report PATH]
     scw paper-suite [--seed N] [--report PATH]
     scw h0 <file> <surface-id> <class-json> [--seed N]
-    scw lefschetz <check-tag> [--seed N]
+    scw lefschetz <key> [--seed N] [--report PATH]
+
+`paper-suite` runs every check of every bundled file: the two Inoue cover
+workbenches and `named.json`, the paper's numeric claims.  `lefschetz` runs
+the checks of `named.json` whose name is <key> or starts with <key>/.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
 The seed defaults to the SCW_SEED environment variable (then 0); the
@@ -20,7 +24,7 @@ import sys
 import traceback
 
 from . import workbench
-from .checks import NAMED_CHECKS, resolve_class
+from .checks import resolve_class
 from .report import VerificationReport
 from .workbench import SpecError
 
@@ -78,7 +82,7 @@ def _cmd_h0(args) -> int:
 
 
 def _cmd_lefschetz(args) -> int:
-    report = workbench.run_named(args.check_tag, seed=args.seed)
+    report = workbench.run_named(args.key, seed=args.seed)
     return _emit(report, args.report)
 
 
@@ -113,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_h0)
     p_h0.set_defaults(fn=_cmd_h0)
 
-    p_lef = sub.add_parser("lefschetz", help="run a named numeric check")
-    p_lef.add_argument("check_tag", help=f"one of: {', '.join(sorted(NAMED_CHECKS))}")
+    p_lef = sub.add_parser("lefschetz", help="run the numeric checks of one key")
+    p_lef.add_argument("key", help=f"one of: {', '.join(workbench.named_keys())}")
     add_common(p_lef)
     p_lef.set_defaults(fn=_cmd_lefschetz)
     return parser

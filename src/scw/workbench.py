@@ -10,18 +10,21 @@ a `SpecError` naming the field.  `parse_data` runs both on every entry and
 holds every check entry to the fields of its kind (`checks.bind_checks`),
 so bad data fails before any check runs, and keeps the file's JSON
 objects, keys sorted at every level; a `Workbench` builds them again at
-its seed.  Reports are deterministic given (file, seed).
+its seed.  Reports are deterministic given (file, seed).  The bundled
+files are the two Inoue cover workbenches and `named.json`, the paper's
+numeric claims, which `run_named` selects by the first `/`-segment of
+their names.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .checks import (NAMED_CHECKS, SUITES, SpecError, _element, _int, _ints, _str, bind_checks,
-                     resolve_class, run_check)
+from .checks import (SUITES, SpecError, _element, _int, _ints, _str, bind_checks, resolve_class,
+                     run_check)
 from .cover import BranchComponent, CoverDataError, CoverSpec, validate_cover_data
 from .groups import CyclicPair, FiniteAbelianGroup
 from .oracle import (FreeLine, FreePoint, IntersectionPoint, LineThrough, PointOnLine, ScriptError,
@@ -214,11 +217,6 @@ def _run(jobs, seed: int) -> VerificationReport:
     return report
 
 
-def _named_file(tags) -> WorkbenchFile:
-    checks = [params for tag in tags for params in NAMED_CHECKS[tag]]
-    return parse_data({"version": FORMAT_VERSION, "checks": checks}, where="named checks")
-
-
 def run_suite(wf: WorkbenchFile, suite: str = "all", seed: int = 0) -> VerificationReport:
     """Execute the file's checks for one suite; deterministic given (file, seed)."""
     if suite not in SUITES:
@@ -227,7 +225,7 @@ def run_suite(wf: WorkbenchFile, suite: str = "all", seed: int = 0) -> Verificat
 
 
 def bundled_fixture_names() -> list[str]:
-    return ["inoue_bidouble.json", "inoue_z2z4.json"]
+    return ["inoue_bidouble.json", "inoue_z2z4.json", "named.json"]
 
 
 def load_bundled(name: str) -> WorkbenchFile:
@@ -236,14 +234,25 @@ def load_bundled(name: str) -> WorkbenchFile:
 
 
 def paper_suite(seed: int = 0) -> VerificationReport:
-    """Every bundled check: the two cover workbenches plus the named
-    numeric checks, one report line per claim with its citation tag."""
-    files = [load_bundled(name) for name in bundled_fixture_names()]
-    files.append(_named_file(sorted(NAMED_CHECKS)))
-    return _run([(wf, "all") for wf in files], seed)
+    """Every check of every bundled file, one report line per claim with its
+    citation tag."""
+    return _run([(load_bundled(name), "all") for name in bundled_fixture_names()], seed)
 
 
-def run_named(tag: str, seed: int = 0) -> VerificationReport:
-    if tag not in NAMED_CHECKS:
-        raise SpecError(f"unknown check tag {tag!r}; known: {', '.join(sorted(NAMED_CHECKS))}")
-    return _run([(_named_file([tag]), "all")], seed)
+def _key(check_name: str) -> str:
+    """The `scw lefschetz` key of a check: the first `/`-segment of its name."""
+    return check_name.split("/", 1)[0]
+
+
+def named_keys() -> list[str]:
+    """The keys of the checks of `named.json`, sorted."""
+    return sorted({_key(params["name"]) for params in load_bundled("named.json").checks})
+
+
+def run_named(key: str, seed: int = 0) -> VerificationReport:
+    """The checks of `named.json` whose name is `key` or starts with `key/`."""
+    wf = load_bundled("named.json")
+    checks = tuple(params for params in wf.checks if _key(params["name"]) == key)
+    if not checks:
+        raise SpecError(f"unknown check tag {key!r}; known: {', '.join(named_keys())}")
+    return _run([(replace(wf, checks=checks), "all")], seed)

@@ -3,7 +3,7 @@ bundled check entry makes that entry print a FAIL line or exit 2.
 
 A check whose verdict does not depend on its expected value is silently
 vacuous; this sweep finds one as soon as it is added.  Each `expect*` field
-of every entry of the two fixtures and of NAMED_CHECKS is mutated: numbers
+of every entry of every bundled file is mutated: numbers
 by +-1, booleans negated, "p/q" strings by +1, names renamed, list elements
 dropped, duplicated or changed, and class-map keys deleted or changed.
 """
@@ -15,21 +15,17 @@ from fractions import Fraction
 
 import pytest
 
-from scw.checks import FIELDS, NAMED_CHECKS, run_check
+from scw.checks import FIELDS, run_check
 from scw.report import FAIL
-from scw.workbench import FORMAT_VERSION, SpecError, Workbench, bundled_fixture_names, parse_data
+from scw.workbench import SpecError, Workbench, bundled_fixture_names, parse_data
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "scw" / "fixtures"
-NAMED = "named checks"
 # optional keys of an expected map: like an optional field, absent is no claim
 OPTIONAL_KEYS = {"k2_cover"}
 
 
 @functools.cache
 def _file(name: str) -> dict:
-    if name == NAMED:
-        return {"version": FORMAT_VERSION,
-                "checks": [entry for tag in sorted(NAMED_CHECKS) for entry in NAMED_CHECKS[tag]]}
     return json.loads((FIXTURES / name).read_text())
 
 
@@ -38,7 +34,7 @@ def _workbench(name: str) -> Workbench:
     return Workbench(parse_data(_file(name), where=name))
 
 
-ENTRIES = [(name, i) for name in (*bundled_fixture_names(), NAMED)
+ENTRIES = [(name, i) for name in bundled_fixture_names()
            for i, entry in enumerate(_file(name)["checks"])
            if any(key.startswith("expect") for key in entry)]
 
@@ -97,7 +93,7 @@ def test_every_expected_value_is_a_claim(name, index):
 
 
 def test_entries_left_out_of_the_sweep_have_no_expected_field():
-    for name in (*bundled_fixture_names(), NAMED):
+    for name in bundled_fixture_names():
         for i, entry in enumerate(_file(name)["checks"]):
             if (name, i) not in ENTRIES:
                 required, optional = FIELDS[entry["kind"]]

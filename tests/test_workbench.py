@@ -17,8 +17,8 @@ FIXTURES = SRC / "scw" / "fixtures"
 def test_parse_bundled_fixtures():
     for name in workbench.bundled_fixture_names():
         wf = load_bundled(name)
-        assert len(wf.surfaces) == 1
-        assert len(wf.covers) == 1
+        # one surface and one cover in each Inoue workbench, none in named.json
+        assert len(wf.surfaces) == len(wf.covers) == (name != "named.json")
         assert wf.checks
 
 
@@ -319,8 +319,10 @@ def _one_check_file(**check):
     (_one_check_file(kind="common_involution", orders=[2, 2, 2], n=4, expected="false"),
      "x", "expected"),
     (_one_check_file(kind="hodge_bound", k2=7, kd=3, d2=1, expected="no"), "x", "expected"),
-    (_one_check_file(kind="abstract_self_intersection", basis=["K", "F"],
-                 gram=[[7, 0.5], [0.5, 1]], **{"class": {"K": 1}}, expected=7), "x", "gram"),
+    # a fixed id keeps this case's test id stable when its field path changes
+    pytest.param(_one_check_file(kind="abstract_self_intersection", basis=["K", "F"],
+                                 gram=[[7, 0.5], [0.5, 1]], **{"class": {"K": 1}}, expected=7),
+                 "x", "gram[0][1]", id="data5-x-gram"),
     (_fixture_with("inoue_bidouble", "bidouble/pullback-Z1", component="Nope"),
      "bidouble/pullback-Z1", "component"),
     (_fixture_with("inoue_bidouble", "bidouble/preimage-consistency", components=["Z1", "Nope"]),
@@ -488,10 +490,68 @@ def test_non_string_check_name_or_tag_is_an_input_error(tmp_path, capsys, field,
     assert f"checks[0].{field}: expected a string, got {value!r}" in err
 
 
+RATIONAL = "expected an integer or 'p/q' string"
+
+
+@pytest.mark.parametrize("fixture, index, path, value, message", [
+    (None, 0, ("matrix", 1, 1), "x", f"matrix[1][1]: {RATIONAL}, got 'x'"),
+    ("inoue_z2z4.json", 4, ("classes", 3, "L"), "y", f"classes[3].L: {RATIONAL}, got 'y'"),
+    ("inoue_bidouble.json", 11, ("classes", 2, "L"), "y", f"classes[2].L: {RATIONAL}, got 'y'"),
+    ("inoue_z2z4.json", 7, ("expected_disjoint_remainder", 0, "Q2"), "y",
+     f"expected_disjoint_remainder[0].Q2: {RATIONAL}, got 'y'"),
+    ("inoue_z2z4.json", 2, ("expected_classes", 1, "L"), "y",
+     f"expected_classes[1].L: {RATIONAL}, got 'y'"),
+    ("inoue_z2z4.json", 5, ("expected", 0, 1, "class", "Q1p"), "y",
+     f"expected[0][1].class.Q1p: {RATIONAL}, got 'y'"),
+    ("inoue_z2z4.json", 5, ("expected", 0, 2, "multiplicity"), "z",
+     "expected[0][2].multiplicity: expected an integer, got 'z'"),
+    ("inoue_z2z4.json", 13, ("expected_nodes", 1, "points"), "z",
+     "expected_nodes[1].points: expected an integer, got 'z'"),
+    ("inoue_z2z4.json", 13, ("expected_nodes", 0, "preimages"), "z",
+     "expected_nodes[0].preimages: expected an integer, got 'z'"),
+    ("inoue_z2z4.json", 13, ("expected_nodes", 1, "inertia_order"), "z",
+     "expected_nodes[1].inertia_order: expected an integer, got 'z'"),
+])
+def test_run_time_input_error_names_the_element(fixture, index, path, value, message):
+    if fixture is None:
+        data = {"version": 1, "checks": [
+            {"name": "g", "kind": "gram_det", "matrix": [[1, 0], [0, 1]], "expected": 1}]}
+    else:
+        data = json.loads((FIXTURES / fixture).read_text())
+    entry = json.loads(json.dumps(data["checks"][index]))
+    *parents, last = path
+    target = entry
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    wf = parse_data({**data, "checks": [entry]})
+    with pytest.raises(SpecError) as err:
+        run_suite(wf)
+    assert str(err.value) == f"check {entry['name']}: {message}"
+
+
+NAMED_KEYS = ["corollary-1.3", "lemma-2.2", "lemma-3.1", "lemma-3.2", "lemma-3.4", "lemma-4.1",
+              "prop-2.2", "prop-3.5", "prop-3.7", "section-3-quotient", "theorem-1.1:a",
+              "theorem-1.1:b", "theorem-1.1:c"]
+UNKNOWN_KEY = f"unknown check tag 'lemma-99'; known: {', '.join(NAMED_KEYS)}"
+
+
 def test_run_named_unknown_tag():
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError) as err:
         run_named("lemma-99")
+    assert str(err.value) == UNKNOWN_KEY
+    # a check name is no key, and a tag is no key unless a name starts with it
+    for not_a_key in ("lemma-2.2/range", "theorem-1.1", "section-3", ""):
+        with pytest.raises(SpecError):
+            run_named(not_a_key)
     assert run_named("prop-3.7").all_passed
+    assert workbench.named_keys() == NAMED_KEYS
+    # the keys partition the entries: each name is its key or starts with `key/`
+    names = [params["name"] for params in load_bundled("named.json").checks]
+    owners = [[key for key in NAMED_KEYS if name == key or name.startswith(f"{key}/")]
+              for name in names]
+    assert all(len(keys) == 1 for keys in owners)
+    assert sorted({keys[0] for keys in owners}) == NAMED_KEYS
 
 
 def run_cli(*args, env=None):
@@ -552,8 +612,13 @@ def test_cli_h0():
 def test_cli_lefschetz_and_seed_env():
     proc = run_cli("lefschetz", "lemma-3.1")
     assert proc.returncode == 0
-    proc = run_cli("lefschetz", "unknown-tag")
+    proc = run_cli("lefschetz", "lemma-99")
     assert proc.returncode == 2
+    assert proc.stderr == f"error: {UNKNOWN_KEY}\n"
+    proc = run_cli("lefschetz", "--help")
+    assert proc.returncode == 0
+    listed = " ".join(proc.stdout.split()).split("one of: ")[1].split(" options:")[0]
+    assert listed.split(", ") == NAMED_KEYS
     proc = run_cli("lefschetz", "corollary-1.3", env={"SCW_SEED": "31"})
     assert proc.returncode == 0
     assert "(seed 31)" in proc.stdout
