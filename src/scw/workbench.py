@@ -7,13 +7,13 @@ rational maps; characters and group elements as residue tuples, one per
 cyclic factor.  `_surface` and `_cover` read a surface and a cover into
 the `BlowupSurface` and `CoverSpec` the checks use, refusing bad data with
 a `SpecError` naming the field.  `parse_data` runs both on every entry and
-holds every check entry to the fields of its kind (`checks.bind_checks`),
-so bad data fails before any check runs, and keeps the file's JSON
-objects, keys sorted at every level; a `Workbench` builds them again at
-its seed.  Reports are deterministic given (file, seed).  The bundled
-files are the two Inoue cover workbenches and `named.json`, the paper's
-numeric claims, which `run_named` selects by the first `/`-segment of
-their names.
+reads every field of every check entry (`checks.bind_checks`), so bad data
+fails before any check runs.  It keeps the values read and the JSON
+objects of the surfaces and covers, keys sorted at every level; a
+`Workbench` builds those again at its seed.  Reports are deterministic
+given (file, seed).  The bundled files are the two Inoue cover workbenches
+and `named.json`, the paper's numeric claims, which `run_named` selects by
+the first `/`-segment of their names.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .checks import (SUITES, SpecError, _element, _int, _ints, _str, bind_checks, resolve_class,
-                     run_check)
+from .checks import (SUITES, Entry, SpecError, _element, _group, _int, _str, bind_checks,
+                     resolve_class, run_check)
 from .cover import BranchComponent, CoverDataError, CoverSpec, validate_cover_data
-from .groups import CyclicPair, FiniteAbelianGroup
+from .groups import CyclicPair
 from .oracle import (FreeLine, FreePoint, IntersectionPoint, LineThrough, PointOnLine, ScriptError,
                      SeedPolicy)
 from .report import Check, VerificationReport
@@ -46,10 +46,10 @@ _STEP_KINDS = {
 @dataclass(frozen=True)
 class WorkbenchFile:
     version: int
-    # the JSON objects of the file, keys sorted at every level
+    # the JSON objects of the file's surfaces and covers, keys sorted at every level
     surfaces: tuple[dict, ...]
     covers: tuple[dict, ...]
-    checks: tuple[dict, ...]
+    checks: tuple[Entry, ...]
 
 
 def _objects(values, where: str) -> list[tuple[str, dict]]:
@@ -101,10 +101,7 @@ def _cover(raw: dict, where: str, surface_of) -> CoverSpec:
         base = surface_of(sid)
     except KeyError:
         raise SpecError(f"{where}.surface: unknown surface {sid!r}") from None
-    try:
-        group = FiniteAbelianGroup(_ints(raw.get("group"), f"{where}.group"))
-    except ValueError as exc:
-        raise SpecError(f"{where}.group: {exc}") from None
+    group = _group(raw.get("group"), f"{where}.group")
     branch = []
     for w, b in _objects(raw.get("branch", []), f"{where}.branch"):
         name = _str(b.get("name"), f"{w}.name")
@@ -146,15 +143,15 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
         if surface.name in surfaces:
             raise SpecError(f"{w}.id: duplicate surface id {surface.name!r}")
         surfaces[surface.name] = surface
-    cover_ids = set()
+    covers: dict[str, CoverSpec] = {}
     for w, raw in _objects(data.get("covers", []), f"{where}.covers"):
-        cid = _cover(raw, w, surfaces.__getitem__).name
-        if cid in cover_ids:
-            raise SpecError(f"{w}.id: duplicate cover id {cid!r}")
-        cover_ids.add(cid)
-    bind_checks(_objects(data.get("checks", []), f"{where}.checks"), surfaces, cover_ids)
-    return WorkbenchFile(version,
-                         *(tuple(data.get(key, [])) for key in ("surfaces", "covers", "checks")))
+        cover = _cover(raw, w, surfaces.__getitem__)
+        if cover.name in covers:
+            raise SpecError(f"{w}.id: duplicate cover id {cover.name!r}")
+        covers[cover.name] = cover
+    checks = bind_checks(_objects(data.get("checks", []), f"{where}.checks"), surfaces, covers)
+    return WorkbenchFile(version, tuple(data.get("surfaces", [])), tuple(data.get("covers", [])),
+                         checks)
 
 
 def parse_spec(path) -> WorkbenchFile:
@@ -211,9 +208,9 @@ def _run(jobs, seed: int) -> VerificationReport:
     report = VerificationReport(seed=seed)
     for wf, suite in jobs:
         wb = Workbench(wf, seed=seed)
-        for params in wf.checks:
-            if suite == "all" or params.get("suite", "all") == suite:
-                report.extend(run_check(wb, params))
+        for entry in wf.checks:
+            if suite == "all" or entry.suite == suite:
+                report.extend(run_check(wb, entry))
     return report
 
 
@@ -246,13 +243,13 @@ def _key(check_name: str) -> str:
 
 def named_keys() -> list[str]:
     """The keys of the checks of `named.json`, sorted."""
-    return sorted({_key(params["name"]) for params in load_bundled("named.json").checks})
+    return sorted({_key(entry.name) for entry in load_bundled("named.json").checks})
 
 
 def run_named(key: str, seed: int = 0) -> VerificationReport:
     """The checks of `named.json` whose name is `key` or starts with `key/`."""
     wf = load_bundled("named.json")
-    checks = tuple(params for params in wf.checks if _key(params["name"]) == key)
+    checks = tuple(entry for entry in wf.checks if _key(entry.name) == key)
     if not checks:
         raise SpecError(f"unknown check tag {key!r}; known: {', '.join(named_keys())}")
     return _run([(replace(wf, checks=checks), "all")], seed)

@@ -70,8 +70,8 @@ def verdict(name: str, entry: dict) -> str:
     """"exit 2" when the entry is an input error, "FAIL" when one of its
     report lines fails, else the statuses of its report lines."""
     try:
-        parse_data({**_file(name), "checks": [entry]}, where=name)
-        statuses = {c.status for c in run_check(_workbench(name), entry)}
+        wf = parse_data({**_file(name), "checks": [entry]}, where=name)
+        statuses = {c.status for c in run_check(_workbench(name), wf.checks[0])}
     except SpecError:
         return "exit 2"
     return "FAIL" if FAIL in statuses else ",".join(sorted(statuses))

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pathlib
 import re
@@ -25,8 +24,11 @@ def test_parse_bundled_fixtures():
 def test_round_trip():
     for name in workbench.bundled_fixture_names():
         wf = load_bundled(name)
-        data = json.loads(json.dumps(dataclasses.asdict(wf)))
-        assert data == json.loads((FIXTURES / name).read_text())
+        data = json.loads((FIXTURES / name).read_text())
+        assert [list(wf.surfaces), list(wf.covers)] == [data.get("surfaces", []),
+                                                        data.get("covers", [])]
+        assert [(e.name, e.kind, e.suite, e.tag) for e in wf.checks] == [
+            (c["name"], c["kind"], c.get("suite", "all"), c.get("tag")) for c in data["checks"]]
         assert parse_data(data, where=name) == wf
 
 
@@ -325,12 +327,18 @@ def _one_check_file(**check):
                  "x", "gram[0][1]", id="data5-x-gram"),
     (_fixture_with("inoue_bidouble", "bidouble/pullback-Z1", component="Nope"),
      "bidouble/pullback-Z1", "component"),
-    (_fixture_with("inoue_bidouble", "bidouble/preimage-consistency", components=["Z1", "Nope"]),
-     "bidouble/preimage-consistency", "components"),
-    (_fixture_with("inoue_bidouble", "bidouble/minimal-model", contract=["Nope"]),
-     "bidouble/minimal-model", "contract"),
-    (_fixture_with("inoue_z2z4", "z2z4/derived-rho2", subtract_components=["M1", "Nope"]),
-     "z2z4/derived-rho2", "subtract_components"),
+    # the ids of the next three keep the field they named before it named the element
+    pytest.param(_fixture_with("inoue_bidouble", "bidouble/preimage-consistency",
+                               components=["Z1", "Nope"]),
+                 "bidouble/preimage-consistency", "components[1]",
+                 id="data7-bidouble/preimage-consistency-components"),
+    pytest.param(_fixture_with("inoue_bidouble", "bidouble/minimal-model", contract=["Nope"]),
+                 "bidouble/minimal-model", "contract[0]",
+                 id="data8-bidouble/minimal-model-contract"),
+    pytest.param(_fixture_with("inoue_z2z4", "z2z4/derived-rho2",
+                               subtract_components=["M1", "Nope"]),
+                 "z2z4/derived-rho2", "subtract_components[1]",
+                 id="data9-z2z4/derived-rho2-subtract_components"),
     (_fixture_with("inoue_z2z4", "z2z4/quotient", character=[0, 2, 0]), "z2z4/quotient",
      "character"),
 ])
@@ -340,8 +348,10 @@ def test_malformed_check_value_is_an_input_error(tmp_path, capsys, data, name, f
     path = tmp_path / "file.json"
     path.write_text(json.dumps(data))
     assert main(["verify", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert f"check {name}: {field}:" in err
+    out, err = capsys.readouterr()
+    index = [c["name"] for c in data["checks"]].index(name)
+    assert out == ""
+    assert f"{path}.checks[{index}].{field}: " in err
 
 
 def _only_check(fixture, name, edit):
@@ -356,8 +366,11 @@ def _rename(old, new):
     return lambda check: check.update({new: check.pop(old)})
 
 
+# Cases 5 to 35 were raised when the entry ran, as "check <name>: <path>: ...",
+# until the fields were read at parse time; each keeps that message as its
+# test id, so the ids stay stable.
 @pytest.mark.parametrize("data, message", [
-    # a field of the entry itself, refused when the file is parsed
+    # a field of the entry itself
     (_only_check("inoue_bidouble", "W/gamma2-self-intersection", lambda c: c.pop("rhs")),
      "checks[0].rhs: missing field"),
     (_only_check("inoue_z2z4", "z2z4/derived-rho2", _rename("expected_class", "expected_clas")),
@@ -370,86 +383,157 @@ def _rename(old, new):
      "checks[0].expected_class: expected a value, got null"),
     (_only_check("inoue_z2z4", "z2z4/preimage-consistency", lambda c: c.update(components=None)),
      "checks[0].components: expected a value, got null"),
-    # a field of a nested object, refused when the entry runs
-    (_only_check("inoue_z2z4", "z2z4/invariants", lambda c: c["expected"].pop("q")),
-     "check z2z4/invariants: expected.q: missing field"),
-    (_only_check("inoue_z2z4", "z2z4/invariants", lambda c: c.update(
-        expected={"chi": 1, "p_g": 0, "q": 0, "k2_covr": -10})),
-     "check z2z4/invariants: expected.k2_covr: unknown field"),
-    (_only_check("inoue_z2z4", "z2z4/pullback-M2", lambda c: c["expected"].pop("s")),
-     "check z2z4/pullback-M2: expected.s: missing field"),
-    (_only_check("inoue_z2z4", "z2z4/branch-points",
-                 lambda c: c["expected_nodes"][1].update(inertia=4)),
-     "check z2z4/branch-points: expected_nodes[1].inertia: unknown field"),
-    (_only_check("inoue_z2z4", "z2z4/derived-rho2", lambda c: c["minuend"].pop("multiple")),
-     "check z2z4/derived-rho2: minuend.multiple: missing field"),
-    (_only_check("inoue_z2z4", "z2z4/derived-rho2", lambda c: c.pop("minuend")),
-     "check z2z4/derived-rho2: minuend: expected an object, got None"),
-    (_one_check_file(kind="diophantine", constraint="commuting-cubic", box={"x": [0, 1]},
-                     expected=[]),
-     "check x: box.y: missing field"),
-    (_one_check_file(kind="diophantine", constraint="commuting-cubic",
-                     box={"x": [0, 1], "y": [0, 1], "z": [0, 1]}, expected=[[0, 1]]),
-     "check x: box.z: unknown field"),
-    (_only_check("inoue_z2z4", "Y/singular-members-Phi",
-                 lambda c: c["expected"][0][1].update(mult=1)),
-     "check Y/singular-members-Phi: expected[0][1].mult: unknown field"),
+    # a field of a nested object
+    pytest.param(
+        _only_check("inoue_z2z4", "z2z4/invariants", lambda c: c["expected"].pop("q")),
+        "checks[0].expected.q: missing field",
+        id="data5-check z2z4/invariants: expected.q: missing field"),
+    pytest.param(
+        _only_check("inoue_z2z4", "z2z4/invariants", lambda c: c.update(
+            expected={"chi": 1, "p_g": 0, "q": 0, "k2_covr": -10})),
+        "checks[0].expected.k2_covr: unknown field",
+        id="data6-check z2z4/invariants: expected.k2_covr: unknown field"),
+    pytest.param(
+        _only_check("inoue_z2z4", "z2z4/pullback-M2", lambda c: c["expected"].pop("s")),
+        "checks[0].expected.s: missing field",
+        id="data7-check z2z4/pullback-M2: expected.s: missing field"),
+    pytest.param(
+        _only_check("inoue_z2z4", "z2z4/branch-points",
+                    lambda c: c["expected_nodes"][1].update(inertia=4)),
+        "checks[0].expected_nodes[1].inertia: unknown field",
+        id="data8-check z2z4/branch-points: expected_nodes[1].inertia: unknown field"),
+    pytest.param(
+        _only_check("inoue_z2z4", "z2z4/derived-rho2", lambda c: c["minuend"].pop("multiple")),
+        "checks[0].minuend.multiple: missing field",
+        id="data9-check z2z4/derived-rho2: minuend.multiple: missing field"),
+    pytest.param(
+        _only_check("inoue_z2z4", "z2z4/derived-rho2", lambda c: c.pop("minuend")),
+        "checks[0].subtract_components: given without minuend",
+        id="data10-check z2z4/derived-rho2: minuend: expected an object, got None"),
+    pytest.param(
+        _one_check_file(kind="diophantine", constraint="commuting-cubic", box={"x": [0, 1]},
+                        expected=[]),
+        "checks[0].box.y: missing field",
+        id="data11-check x: box.y: missing field"),
+    pytest.param(
+        _one_check_file(kind="diophantine", constraint="commuting-cubic",
+                        box={"x": [0, 1], "y": [0, 1], "z": [0, 1]}, expected=[[0, 1]]),
+        "checks[0].box.z: unknown field",
+        id="data12-check x: box.z: unknown field"),
+    pytest.param(
+        _only_check("inoue_z2z4", "Y/singular-members-Phi",
+                    lambda c: c["expected"][0][1].update(mult=1)),
+        "checks[0].expected[0][1].mult: unknown field",
+        id="data13-check Y/singular-members-Phi: expected[0][1].mult: unknown field"),
     # an entry that makes no claim
-    (_only_check("inoue_z2z4", "z2z4/derived-rho2", lambda c: [
-        c.pop(k) for k in ("expected_class", "minuend", "subtract_components")]),
-     "check z2z4/derived-rho2: the entry yields no report line"),
-    (_only_check("inoue_z2z4", "z2z4/preimage-consistency", lambda c: c.update(components=[])),
-     "check z2z4/preimage-consistency: the entry yields no report line"),
+    pytest.param(
+        _only_check("inoue_z2z4", "z2z4/derived-rho2", lambda c: [
+            c.pop(k) for k in ("expected_class", "minuend", "subtract_components")]),
+        "checks[0]: the entry yields no report line",
+        id="data14-check z2z4/derived-rho2: the entry yields no report line"),
+    pytest.param(
+        _only_check("inoue_z2z4", "z2z4/preimage-consistency",
+                    lambda c: c.update(components=[])),
+        "checks[0].components: the entry yields no report line",
+        id="data15-check z2z4/preimage-consistency: the entry yields no report line"),
     # a name outside the known ones
-    (_one_check_file(kind="diophantine", constraint="nope", expected=[]),
-     "check x: constraint: expected one of ample-obstruction-det, commuting-cubic, "),
-    (_one_check_file(kind="theorem11", case="d"),
-     "check x: case: expected one of a, b, c, got 'd'"),
+    pytest.param(
+        _one_check_file(kind="diophantine", constraint="nope", expected=[]),
+        "checks[0].constraint: expected one of ample-obstruction-det, commuting-cubic, ",
+        id="data16-check x: constraint: expected one of ample-obstruction-det, commuting-cubic, "),
+    pytest.param(
+        _one_check_file(kind="theorem11", case="d"),
+        "checks[0].case: expected one of a, b, c, got 'd'",
+        id="data17-check x: case: expected one of a, b, c, got 'd'"),
     # a list value read by a reader that names the field
-    (_one_check_file(kind="diophantine", constraint="commuting-cubic",
-                     box={"x": [0], "y": [0, 1]}, expected=[]),
-     "check x: box.x: expected [lo, hi], got [0]"),
-    (_one_check_file(kind="diophantine", constraint="commuting-cubic",
-                     box={"x": [0, 1], "y": [0, 0.5]}, expected=[]),
-     "check x: box.y: expected an integer, got 0.5"),
-    (_only_check("inoue_z2z4", "z2z4/quotient", lambda c: c.update(expected_branch="M1N1M2N2")),
-     "check z2z4/quotient: expected_branch: expected a list of strings, got 'M1N1M2N2'"),
-    (_only_check("inoue_z2z4", "z2z4/quotient", lambda c: c.update(expected_branch=["M1", 2])),
-     "check z2z4/quotient: expected_branch[1]: expected a string, got 2"),
-    (_only_check("inoue_z2z4", "Y/collinear-sets", lambda c: c.update(expected=5)),
-     "check Y/collinear-sets: expected: expected a list of lists of strings, got 5"),
-    (_only_check("inoue_z2z4", "Y/collinear-sets", lambda c: c["expected"].append("Q1Q2Q3")),
-     "check Y/collinear-sets: expected[6]: expected a list of strings, got 'Q1Q2Q3'"),
-    (_only_check("inoue_z2z4", "z2z4/branch-points",
-                 lambda c: c["expected_nodes"][1].update(pair="Lambda2N2")),
-     "check z2z4/branch-points: expected_nodes[1].pair: expected a list of strings, "
-     "got 'Lambda2N2'"),
-    (_only_check("inoue_z2z4", "z2z4/branch-points",
-                 lambda c: c["expected_nodes"][0].update(pair=["Lambda2", 2])),
-     "check z2z4/branch-points: expected_nodes[0].pair[1]: expected a string, got 2"),
+    pytest.param(
+        _one_check_file(kind="diophantine", constraint="commuting-cubic",
+                        box={"x": [0], "y": [0, 1]}, expected=[]),
+        "checks[0].box.x: expected [lo, hi], got [0]",
+        id="data18-check x: box.x: expected [lo, hi], got [0]"),
+    pytest.param(
+        _one_check_file(kind="diophantine", constraint="commuting-cubic",
+                        box={"x": [0, 1], "y": [0, 0.5]}, expected=[]),
+        "checks[0].box.y[1]: expected an integer, got 0.5",
+        id="data19-check x: box.y: expected an integer, got 0.5"),
+    pytest.param(
+        _only_check("inoue_z2z4", "z2z4/quotient",
+                    lambda c: c.update(expected_branch="M1N1M2N2")),
+        "checks[0].expected_branch: expected a list of strings, got 'M1N1M2N2'",
+        id="data20-check z2z4/quotient: expected_branch: expected a list of strings, "
+           "got 'M1N1M2N2'"),
+    pytest.param(
+        _only_check("inoue_z2z4", "z2z4/quotient",
+                    lambda c: c.update(expected_branch=["M1", 2])),
+        "checks[0].expected_branch[1]: expected a string, got 2",
+        id="data21-check z2z4/quotient: expected_branch[1]: expected a string, got 2"),
+    pytest.param(
+        _only_check("inoue_z2z4", "Y/collinear-sets", lambda c: c.update(expected=5)),
+        "checks[0].expected: expected a list of lists of strings, got 5",
+        id="data22-check Y/collinear-sets: expected: expected a list of lists of strings, got 5"),
+    pytest.param(
+        _only_check("inoue_z2z4", "Y/collinear-sets", lambda c: c["expected"].append("Q1Q2Q3")),
+        "checks[0].expected[6]: expected a list of strings, got 'Q1Q2Q3'",
+        id="data23-check Y/collinear-sets: expected[6]: expected a list of strings, "
+           "got 'Q1Q2Q3'"),
+    pytest.param(
+        _only_check("inoue_z2z4", "z2z4/branch-points",
+                    lambda c: c["expected_nodes"][1].update(pair="Lambda2N2")),
+        "checks[0].expected_nodes[1].pair: expected a list of strings, got 'Lambda2N2'",
+        id="data24-check z2z4/branch-points: expected_nodes[1].pair: expected a list of "
+           "strings, got 'Lambda2N2'"),
+    pytest.param(
+        _only_check("inoue_z2z4", "z2z4/branch-points",
+                    lambda c: c["expected_nodes"][0].update(pair=["Lambda2", 2])),
+        "checks[0].expected_nodes[0].pair[1]: expected a string, got 2",
+        id="data25-check z2z4/branch-points: expected_nodes[0].pair[1]: expected a string, "
+           "got 2"),
     # a number where a list belongs, which iteration would meet as a TypeError
-    (_one_check_file(kind="diophantine", constraint="commuting-cubic", expected=5),
-     "check x: expected: expected a list of solutions, got 5"),
-    (_one_check_file(kind="diophantine", constraint="commuting-cubic", expected=[5]),
-     "check x: expected[0]: expected a list of integers, got 5"),
-    (_only_check("inoue_z2z4", "z2z4/branch-points", lambda c: c.update(expected_nodes=5)),
-     "check z2z4/branch-points: expected_nodes: expected a list of nodes, got 5"),
-    (_only_check("inoue_z2z4", "Y/singular-members-Phi", lambda c: c.update(expected=5)),
-     "check Y/singular-members-Phi: expected: expected a list of decompositions, got 5"),
-    (_only_check("inoue_z2z4", "Y/singular-members-Phi", lambda c: c["expected"].append(5)),
-     "check Y/singular-members-Phi: expected[3]: expected a list of parts, got 5"),
-    (_only_check("inoue_z2z4", "Y/minus-two-curves", lambda c: c.update(expected_classes=5)),
-     "check Y/minus-two-curves: expected_classes: expected a list of classes, got 5"),
-    (_only_check("inoue_bidouble", "W/diagonals-isolated",
-                 lambda c: c.update(expected_classes=5)),
-     "check W/diagonals-isolated: expected_classes: expected a list of classes, got 5"),
-    (_only_check("inoue_bidouble", "W/pencils", lambda c: c.update(classes=5)),
-     "check W/pencils: classes: expected a list of classes, got 5"),
-    (_one_check_file(kind="gram_det", matrix=[[1, 0], 5], expected=1),
-     "check x: matrix[1]: expected a list of entries, got 5"),
-    (_one_check_file(kind="abstract_self_intersection", basis="KE", gram=[[7, 0], [0, 1]],
-                     **{"class": {"K": 1}}, expected=7),
-     "check x: basis: expected a list of strings, got 'KE'"),
+    pytest.param(
+        _one_check_file(kind="diophantine", constraint="commuting-cubic", expected=5),
+        "checks[0].expected: expected a list of solutions, got 5",
+        id="data26-check x: expected: expected a list of solutions, got 5"),
+    pytest.param(
+        _one_check_file(kind="diophantine", constraint="commuting-cubic", expected=[5]),
+        "checks[0].expected[0]: expected a list of integers, got 5",
+        id="data27-check x: expected[0]: expected a list of integers, got 5"),
+    pytest.param(
+        _only_check("inoue_z2z4", "z2z4/branch-points", lambda c: c.update(expected_nodes=5)),
+        "checks[0].expected_nodes: expected a list of nodes, got 5",
+        id="data28-check z2z4/branch-points: expected_nodes: expected a list of nodes, got 5"),
+    pytest.param(
+        _only_check("inoue_z2z4", "Y/singular-members-Phi", lambda c: c.update(expected=5)),
+        "checks[0].expected: expected a list of decompositions, got 5",
+        id="data29-check Y/singular-members-Phi: expected: expected a list of decompositions, "
+           "got 5"),
+    pytest.param(
+        _only_check("inoue_z2z4", "Y/singular-members-Phi", lambda c: c["expected"].append(5)),
+        "checks[0].expected[3]: expected a list of parts, got 5",
+        id="data30-check Y/singular-members-Phi: expected[3]: expected a list of parts, got 5"),
+    pytest.param(
+        _only_check("inoue_z2z4", "Y/minus-two-curves", lambda c: c.update(expected_classes=5)),
+        "checks[0].expected_classes: expected a list of classes, got 5",
+        id="data31-check Y/minus-two-curves: expected_classes: expected a list of classes, "
+           "got 5"),
+    pytest.param(
+        _only_check("inoue_bidouble", "W/diagonals-isolated",
+                    lambda c: c.update(expected_classes=5)),
+        "checks[0].expected_classes: expected a list of classes, got 5",
+        id="data32-check W/diagonals-isolated: expected_classes: expected a list of classes, "
+           "got 5"),
+    pytest.param(
+        _only_check("inoue_bidouble", "W/pencils", lambda c: c.update(classes=5)),
+        "checks[0].classes: expected a list of classes, got 5",
+        id="data33-check W/pencils: classes: expected a list of classes, got 5"),
+    pytest.param(
+        _one_check_file(kind="gram_det", matrix=[[1, 0], 5], expected=1),
+        "checks[0].matrix[1]: expected a list of entries, got 5",
+        id="data34-check x: matrix[1]: expected a list of entries, got 5"),
+    pytest.param(
+        _one_check_file(kind="abstract_self_intersection", basis="KE", gram=[[7, 0], [0, 1]],
+                        **{"class": {"K": 1}}, expected=7),
+        "checks[0].basis: expected a list of strings, got 'KE'",
+        id="data35-check x: basis: expected a list of strings, got 'KE'"),
 ])
 def test_bad_check_field_is_an_input_error(tmp_path, capsys, data, message):
     from scw.cli import main
@@ -460,6 +544,97 @@ def test_bad_check_field_is_an_input_error(tmp_path, capsys, data, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert message in err
+
+
+_Z2Z4 = json.loads((FIXTURES / "inoue_z2z4.json").read_text())
+_RESTRICTION = {"kind": "restriction_level", "orders": [2, 4], "generator": [0, 1],
+                "exponent": 1, "character": [1, 2], "expected": 2}
+
+
+@pytest.mark.parametrize("data, path", [
+    (_one_check_file(kind="involution_counts", kr=3, r2=1, expected=[7, "x"]),
+     "checks[0].expected[1]"),
+    (_one_check_file(kind="subgroups", orders=[2, "x"], n=2, expected_count=3),
+     "checks[0].orders[1]"),
+    (_one_check_file(kind="range_filter", k2=7, exclude=[1, "x"], expected=[3, 5, 7]),
+     "checks[0].exclude[1]"),
+    (_one_check_file(kind="diophantine", constraint="commuting-cubic", target=[0, "x"],
+                     expected=[]),
+     "checks[0].target[1]"),
+    (_one_check_file(**{**_RESTRICTION, "generator": [0, "x"]}), "checks[0].generator[1]"),
+    (_one_check_file(**{**_RESTRICTION, "character": ["x", 2]}), "checks[0].character[0]"),
+    (_only_check("inoue_z2z4", "z2z4/relation-sum-chi", lambda c: c.update(character=[1, "x"])),
+     "checks[0].character[1]"),
+    (_one_cover(group=[2, "x"]), "covers[0].group[1]"),
+    (_one_cover(group=[2, 4], branch=[{**_BRANCH, "subgroup_generator": [1, "x"]}]),
+     "covers[0].branch[0].subgroup_generator[1]"),
+    (_one_cover(group=[2], reduced_L=[{"character": ["x"], "class": {"L": 1}}]),
+     "covers[0].reduced_L[0].character[0]"),
+])
+def test_bad_list_element_is_named(data, path):
+    with pytest.raises(SpecError) as err:
+        parse_data(data)
+    assert str(err.value) == f"workbench.{path}: expected an integer, got 'x'"
+
+
+@pytest.mark.parametrize("data, message", [
+    (_only_check("inoue_z2z4", "z2z4/canonical", lambda c: c.update(n=0)),
+     "checks[0].n: expected a positive integer, got 0"),
+    (_only_check("inoue_z2z4", "z2z4/canonical", lambda c: c.update(n=-4)),
+     "checks[0].n: expected a positive integer, got -4"),
+    (_only_check("inoue_bidouble", "W/halve-Delta2+Delta3", lambda c: c.update(n=0)),
+     "checks[0].n: expected a positive integer, got 0"),
+    (_only_check("inoue_bidouble", "W/halve-Delta2+Delta3", lambda c: c.update(n=-2)),
+     "checks[0].n: expected a positive integer, got -2"),
+    (_one_check_file(kind="subgroups", orders=[2, 0], n=2, expected_count=3),
+     "checks[0].orders: cyclic factor orders must be positive"),
+    (_one_check_file(kind="subgroups", orders=[2, 2], n=0, expected_count=0),
+     "checks[0].n: expected a positive integer, got 0"),
+    (_one_check_file(kind="common_involution", orders=[0], n=1, expected=True),
+     "checks[0].orders: cyclic factor orders must be positive"),
+    (_one_check_file(**{**_RESTRICTION, "orders": [2, -4]}),
+     "checks[0].orders: cyclic factor orders must be positive"),
+])
+def test_non_positive_integer_field_is_an_input_error(data, message):
+    with pytest.raises(SpecError) as err:
+        parse_data(data)
+    assert str(err.value) == f"workbench.{message}"
+
+
+def _invalid_cover(raw):
+    # breaks the relation of one character sheaf, so the cover fails validation
+    for entry in raw["covers"][0]["reduced_L"]:
+        if entry["character"] == [1, 0]:
+            entry["class"]["Q3p"] += 1
+
+
+@pytest.mark.parametrize("edit, argv", [
+    (None, []),
+    (None, ["--suite", "lattice"]),  # an entry the suite does not select
+    (_invalid_cover, []),            # an entry that would report `unsupported`
+])
+def test_malformed_entry_exits_2_before_any_check(tmp_path, capsys, monkeypatch, edit, argv):
+    from scw import checks
+    from scw.cli import main
+
+    calls = []
+    for kind, handler in checks.HANDLERS.items():
+        def counted(*args, _handler=handler, _kind=kind, **kwargs):
+            calls.append(_kind)
+            return _handler(*args, **kwargs)
+        monkeypatch.setitem(checks.HANDLERS, kind, counted)
+    raw = json.loads(json.dumps(_Z2Z4))
+    index = [c["name"] for c in raw["checks"]].index("z2z4/invariants")
+    del raw["checks"][index]["expected"]["q"]
+    if edit:
+        edit(raw)
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", str(path), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}.checks[{index}].expected.q: missing field\n"
+    assert calls == []
 
 
 def test_readme_lists_the_fields_of_every_kind():
@@ -513,6 +688,8 @@ RATIONAL = "expected an integer or 'p/q' string"
      "expected_nodes[1].inertia_order: expected an integer, got 'z'"),
 ])
 def test_run_time_input_error_names_the_element(fixture, index, path, value, message):
+    # raised when the file is parsed, where the fields are read now; the test
+    # keeps the name it had when these errors were raised at run time
     if fixture is None:
         data = {"version": 1, "checks": [
             {"name": "g", "kind": "gram_det", "matrix": [[1, 0], [0, 1]], "expected": 1}]}
@@ -524,10 +701,9 @@ def test_run_time_input_error_names_the_element(fixture, index, path, value, mes
     for step in parents:
         target = target[step]
     target[last] = value
-    wf = parse_data({**data, "checks": [entry]})
     with pytest.raises(SpecError) as err:
-        run_suite(wf)
-    assert str(err.value) == f"check {entry['name']}: {message}"
+        parse_data({**data, "checks": [entry]})
+    assert str(err.value) == f"workbench.checks[0].{message}"
 
 
 NAMED_KEYS = ["corollary-1.3", "lemma-2.2", "lemma-3.1", "lemma-3.2", "lemma-3.4", "lemma-4.1",
@@ -547,7 +723,7 @@ def test_run_named_unknown_tag():
     assert run_named("prop-3.7").all_passed
     assert workbench.named_keys() == NAMED_KEYS
     # the keys partition the entries: each name is its key or starts with `key/`
-    names = [params["name"] for params in load_bundled("named.json").checks]
+    names = [entry.name for entry in load_bundled("named.json").checks]
     owners = [[key for key in NAMED_KEYS if name == key or name.startswith(f"{key}/")]
               for name in names]
     assert all(len(keys) == 1 for keys in owners)
