@@ -86,6 +86,20 @@ def _positive(value, where: str, scope=None) -> int:
     return value
 
 
+def _positive_rat(value, where: str, scope=None) -> Fraction:
+    rat = _rat(value, where)
+    if rat <= 0:
+        raise SpecError(f"{where}: expected a positive integer or 'p/q' string, got {value!r}")
+    return rat
+
+
+def _nonzero_rat(value, where: str, scope=None) -> Fraction:
+    rat = _rat(value, where)
+    if rat == 0:
+        raise SpecError(f"{where}: expected a nonzero integer or 'p/q' string, got {value!r}")
+    return rat
+
+
 def _bool(value, where: str, scope=None) -> bool:
     # bool() would read the string "false" as True
     if isinstance(value, bool):
@@ -159,6 +173,22 @@ def _group(orders, where: str, scope=None) -> groups_mod.FiniteAbelianGroup:
         raise SpecError(f"{where}: {exc}") from None
 
 
+def _orders(orders, where: str, scope=None) -> groups_mod.FiniteAbelianGroup:
+    """The group of a check's `orders`, which names at least one cyclic factor."""
+    if orders == []:
+        raise SpecError(f"{where}: expected at least one cyclic factor order, got []")
+    return _group(orders, where)
+
+
+def _subgroup_order(value, where: str, scope) -> int:
+    """A subgroup order: a positive divisor of the order of the entry's `orders`."""
+    n = _positive(value, where)
+    order = scope["orders"].order
+    if order % n:
+        raise SpecError(f"{where}: {n} does not divide the group order {order}")
+    return n
+
+
 def _element(group, value, where: str) -> tuple[int, ...]:
     """A group element or character: one residue per cyclic factor, reduced."""
     residues = _ints(value, where)
@@ -170,6 +200,24 @@ def _element(group, value, where: str) -> tuple[int, ...]:
 def _group_element(value, where: str, scope) -> tuple[int, ...]:
     """An element or character of the entry's cover group, or of its `orders`."""
     return _element(scope["cover"].group if "cover" in scope else scope["orders"], value, where)
+
+
+def _cyclic_pair(group, generator, exponent: int, generator_where: str,
+                 exponent_where: str) -> groups_mod.CyclicPair:
+    """The CyclicPair of a read generator and character exponent; a SpecError
+    names the generator's field when it is trivial, else the exponent's."""
+    try:
+        return groups_mod.CyclicPair(group, generator, exponent)
+    except ValueError as exc:
+        trivial = group.element_order(generator) == 1
+        raise SpecError(f"{generator_where if trivial else exponent_where}: {exc}") from None
+
+
+def _pair_exponent(value, where: str, scope) -> groups_mod.CyclicPair:
+    """The CyclicPair of the entry's `generator` with this character exponent."""
+    generator_where = f"{where.rpartition('.')[0]}.generator"
+    return _cyclic_pair(scope["orders"], scope["generator"], _int(value, where), generator_where,
+                        where)
 
 
 def resolve_class(lattice, class_map, where: str) -> DivisorClass:
@@ -229,7 +277,7 @@ def check_intersect(wb, name, surface, lhs: _class, rhs: _class, expected: _rat)
 
 
 def check_abstract_self_intersection(wb, name, basis: _strs, gram: _gram, class_: _class,
-                                     expected: _rat, divide: _rat = 1):
+                                     expected: _rat, divide: _nonzero_rat = 1):
     return [equality_check(name, class_.dot(class_) / divide, expected)]
 
 
@@ -263,7 +311,8 @@ def _hodge_claim(value, where: str, scope):
 
 
 # keyword-only, so that d2 is read before the claim whose reader it selects
-def check_hodge_bound(wb, name, k2: _rat, kd: _rat, *, d2: _rat = None, expected: _hodge_claim):
+def check_hodge_bound(wb, name, k2: _positive_rat, kd: _rat, *, d2: _rat = None,
+                      expected: _hodge_claim):
     if d2 is not None:
         return [equality_check(name, hodge_index_bound(k2, kd, d2), expected)]
     bound = hodge_index_bound(k2, kd)
@@ -484,7 +533,7 @@ def check_order3_counts(wb, name, kr: _int, r2: _int, tr: _int, expected: _ints_
     return [equality_check(name, lef.order3_counts(kr, r2, tr), expected)]
 
 
-def check_range_filter(wb, name, k2: _int, expected: _int_list, r2: _int = None,
+def check_range_filter(wb, name, k2: _positive, expected: _int_list, r2: _int = None,
                        exclude: _ints = ()):
     return [equality_check(name, lef.involution_range_filter(k2, r2=r2, exclude=exclude),
                            expected)]
@@ -516,21 +565,21 @@ def check_theorem11(wb, name, case: _one_of(lef.CASE_TABLE)):
 
 
 # `orders` is read as the group with those cyclic factors
-def check_subgroups(wb, name, orders: _group, n: _positive, expected_count: _int,
+def check_subgroups(wb, name, orders: _orders, n: _subgroup_order, expected_count: _int,
                     elementary_only: _bool = False):
     subs = groups_mod.subgroups_of_order(orders, n, elementary_only=elementary_only)
     return [equality_check(name, len(subs), expected_count)]
 
 
-def check_common_involution(wb, name, orders: _group, n: _positive, expected: _bool):
+def check_common_involution(wb, name, orders: _orders, n: _subgroup_order, expected: _bool):
     got = groups_mod.pairwise_common_involution(orders, groups_mod.subgroups_of_order(orders, n))
     return [equality_check(name, got, expected)]
 
 
-def check_restriction_level(wb, name, orders: _group, generator: _group_element, exponent: _int,
-                            character: _group_element, expected: _int):
-    pair = groups_mod.CyclicPair(orders, generator, exponent)
-    return [equality_check(name, groups_mod.restriction_level(pair, character), expected)]
+# `exponent` is read as the CyclicPair of `generator` with that character exponent
+def check_restriction_level(wb, name, orders: _orders, generator: _group_element,
+                            exponent: _pair_exponent, character: _group_element, expected: _int):
+    return [equality_check(name, groups_mod.restriction_level(exponent, character), expected)]
 
 
 # kind -> handler: the `check_<kind>` functions above, the one declaration of each kind

@@ -237,7 +237,12 @@ def catalog_negative_curves(surface: BlowupSurface, degree_bound: int = DEFAULT_
 
     A candidate is kept when it has exactly one section and does not meet a
     previously catalogued irreducible curve negatively (which would force a
-    shared component).
+    shared component).  The section count is tested first, and the
+    negativity scan only for the candidates with h^0 = 1: on general points
+    the scan rejects nothing, so every candidate reaches h^0 in either
+    order, and every (-2)-candidate fails it.  The order cannot change a
+    returned catalog: a candidate is kept exactly when it passes both
+    tests, and h^0 has no effect but to fill the surface's caches.
     """
     if degree_bound < 1:
         raise SurfaceError("degree bound must be >= 1")
@@ -259,9 +264,9 @@ def catalog_negative_curves(surface: BlowupSurface, degree_bound: int = DEFAULT_
     candidates = (cand for degree in range(1, degree_bound + 1) for self_int in (-2, -1)
                   for cand in _candidates(surface, degree, self_int))
     for cand in candidates:
-        if any(cand.dot(rec.cls) < 0 for rec in records):
-            continue
         if surface.h0(cand) != 1:
+            continue
+        if any(cand.dot(rec.cls) < 0 for rec in records):
             continue
         self_int = int(cand.dot(cand))
         kind = KIND_MINUS_ONE if self_int == -1 else KIND_MINUS_TWO

@@ -24,9 +24,8 @@ from importlib import resources
 from pathlib import Path
 
 from .checks import (SUITES, Entry, SpecError, _element, _group, _int, _str, bind_checks,
-                     resolve_class, run_check)
+                     _cyclic_pair, resolve_class, run_check)
 from .cover import BranchComponent, CoverDataError, CoverSpec, validate_cover_data
-from .groups import CyclicPair
 from .oracle import (FreeLine, FreePoint, IntersectionPoint, LineThrough, PointOnLine, ScriptError,
                      SeedPolicy)
 from .report import Check, VerificationReport
@@ -110,12 +109,8 @@ def _cover(raw: dict, where: str, surface_of) -> CoverSpec:
         curve = resolve_class(base.lattice, b.get("class"), f"{w}.class")
         generator = _element(group, b.get("subgroup_generator"), f"{w}.subgroup_generator")
         exponent = _int(b.get("character_exponent"), f"{w}.character_exponent")
-        try:
-            pair = CyclicPair(group, generator, exponent)
-        except ValueError as exc:
-            trivial = group.element_order(generator) == 1
-            field = "subgroup_generator" if trivial else "character_exponent"
-            raise SpecError(f"{w}.{field}: {exc}") from None
+        pair = _cyclic_pair(group, generator, exponent, f"{w}.subgroup_generator",
+                            f"{w}.character_exponent")
         components = _int(b.get("components"), f"{w}.components")
         try:
             branch.append(BranchComponent(name, curve, pair, components))

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from scw.lattice import LatticeMismatch
+from scw import oracle
+from scw.lattice import DivisorClass, LatticeMismatch, format_class
 from scw.oracle import FreePoint, LineThrough, PointOnLine
 from scw.surface import (KIND_MINUS_ONE, KIND_MINUS_TWO, KIND_OTHER, CurveRecord,
                          Pencil, SurfaceError, _candidate_multiplicity_vectors,
-                         _candidates, build_surface, contract, find_pencils,
-                         isolated_minus_one_curves, minus_one_curves,
+                         _candidates, build_surface, catalog_negative_curves, contract,
+                         find_pencils, isolated_minus_one_curves, minus_one_curves,
                          minus_two_curves, singular_members)
 
 
@@ -255,6 +256,29 @@ def reference_find_pencils(surface, degree_bound=3):
     return out, rejected
 
 
+def reference_catalog(surface, degree_bound=3):
+    """`catalog_negative_curves` as it was written with the negativity scan
+    before the section count."""
+    records = [CurveRecord(sym, surface.lattice.exceptional(sym), -1, -1, Fraction(0),
+                           KIND_MINUS_ONE, f"exceptional curve over {surface.point_of_symbol[sym]}")
+               for sym in surface.lattice.exceptional_names]
+    candidates = (cand for degree in range(1, degree_bound + 1) for self_int in (-2, -1)
+                  for cand in _candidates(surface, degree, self_int))
+    for cand in candidates:
+        if any(cand.dot(rec.cls) < 0 for rec in records):
+            continue
+        if surface.h0(cand) != 1:
+            continue
+        self_int = int(cand.dot(cand))
+        points = [surface.point_of_symbol[s] for s in surface.lattice.exceptional_names
+                  if cand.coeff(s) != 0]
+        records.append(CurveRecord(
+            format_class(cand).replace(" ", ""), cand, self_int, int(surface.canonical.dot(cand)),
+            Fraction(0), KIND_MINUS_ONE if self_int == -1 else KIND_MINUS_TWO,
+            f"degree-{int(cand.coeffs[0])} curve through {', '.join(points)}"))
+    return records
+
+
 def _assert_pencils_match_reference(surface, degree_bound):
     got = find_pencils(surface, degree_bound)
     want, rejected = reference_find_pencils(surface, degree_bound)
@@ -282,6 +306,57 @@ def test_pencils_match_reference_on_general_points(n, degree_bound):
 
 def test_pencils_match_reference_on_four_collinear_points():
     assert _assert_pencils_match_reference(_collinear_surface(), 3) == 6
+
+
+def test_catalog_matches_reference_on_w_and_y(surface_w, surface_y):
+    for surface in (surface_w, surface_y):
+        assert surface.catalog(3) == reference_catalog(surface, 3)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("degree_bound", [2, 3])
+def test_catalog_matches_reference_on_general_points(n, degree_bound):
+    surface = _general_surface(n)
+    assert surface.catalog(degree_bound) == reference_catalog(surface, degree_bound)
+
+
+def test_catalog_matches_reference_on_four_collinear_points():
+    surface = _collinear_surface()
+    assert surface.catalog(3) == reference_catalog(surface, 3)
+
+
+def test_catalog_scans_only_candidates_with_one_section(monkeypatch):
+    surface = build_surface([FreePoint(f"p{i}") for i in range(1, 9)],
+                            [(f"p{i}", f"E{i}") for i in range(1, 9)])
+    events = []
+    h0_calls = []
+    h0_from_realization, h0, dot = oracle.h0_from_realization, surface.h0, DivisorClass.dot
+
+    def counted_h0_from_realization(*args):
+        h0_calls.append(args)
+        return h0_from_realization(*args)
+
+    def recorded_h0(cand):
+        events.append(("h0", cand.coeffs, h0(cand)))
+        return events[-1][2]
+
+    def recorded_dot(self, other):
+        events.append(("dot", self.coeffs))
+        return dot(self, other)
+
+    monkeypatch.setattr(oracle, "h0_from_realization", counted_h0_from_realization)
+    monkeypatch.setattr(surface, "h0", recorded_h0)
+    monkeypatch.setattr(DivisorClass, "dot", recorded_dot)
+    catalog_negative_curves(surface, 2)
+    # 56 + 28 lines and 28 + 56 conics, each at the 3 seeds of the consensus
+    assert len(h0_calls) == 504
+    last_h0 = None
+    for event in events:
+        if event[0] == "h0":
+            last_h0 = event
+        elif event[1] != surface.canonical.coeffs:  # K.C of a catalogued curve
+            assert last_h0 == ("h0", event[1], 1)
+    assert sum(event[0] == "dot" for event in events) > 0
 
 
 def _assert_members_match_reference(surface, degree_bound):

@@ -341,6 +341,28 @@ def _one_check_file(**check):
                  id="data9-z2z4/derived-rho2-subtract_components"),
     (_fixture_with("inoue_z2z4", "z2z4/quotient", character=[0, 2, 0]), "z2z4/quotient",
      "character"),
+    # values in a field's type but outside its domain, refused before any handler runs
+    (_fixture_with("named", "section-3-quotient/k2", divide=0), "section-3-quotient/k2",
+     "divide"),
+    (_fixture_with("named", "lemma-2.2/range", k2=0), "lemma-2.2/range", "k2"),
+    (_fixture_with("named", "lemma-2.2/range-hodge", k2=-7), "lemma-2.2/range-hodge", "k2"),
+    (_fixture_with("named", "lemma-3.2/pencil-sum-bound", k2=0), "lemma-3.2/pencil-sum-bound",
+     "k2"),
+    (_fixture_with("named", "lemma-3.2/hodge-pass", k2="-1/2"), "lemma-3.2/hodge-pass", "k2"),
+    (_fixture_with("named", "corollary-1.3/seven-subgroups", n=3),
+     "corollary-1.3/seven-subgroups", "n"),
+    (_fixture_with("named", "corollary-1.3/common-involution", n=3),
+     "corollary-1.3/common-involution", "n"),
+    (_fixture_with("named", "corollary-1.3/seven-subgroups", orders=[]),
+     "corollary-1.3/seven-subgroups", "orders"),
+    (_fixture_with("named", "corollary-1.3/common-involution", orders=[]),
+     "corollary-1.3/common-involution", "orders"),
+    (_one_check_file(kind="restriction_level", orders=[], generator=[], exponent=1,
+                     character=[], expected=0), "x", "orders"),
+    (_one_check_file(kind="restriction_level", orders=[2, 4], generator=[2, 4], exponent=1,
+                     character=[1, 2], expected=0), "x", "generator"),
+    (_one_check_file(kind="restriction_level", orders=[2, 4], generator=[0, 1], exponent=2,
+                     character=[1, 2], expected=0), "x", "exponent"),
 ])
 def test_malformed_check_value_is_an_input_error(tmp_path, capsys, data, name, field):
     from scw.cli import main
