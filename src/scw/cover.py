@@ -43,7 +43,7 @@ class InconsistentDerivation(Exception):
 
 
 class AccountingError(Exception):
-    """Two independent K^2 routes disagree."""
+    """Two independent routes to K^2, or to chi, disagree."""
 
 
 @dataclass(frozen=True)
@@ -464,6 +464,11 @@ def invariants(spec: CoverSpec) -> CoverInvariants:
     p_g sums the oracle section counts h^0(K_base + L_chi) over nontrivial
     characters.  The base is a rational surface, so chi(O_base) = 1 and
     h^0(K_base) = 0.
+
+    chi is cross-checked by Noether's formula 12*chi = K^2 + e, with K^2
+    from the ramification class and the Euler number e from the branch
+    data alone (`_euler_number`); a mismatch raises AccountingError.  An
+    A1 resolution is crepant, so K^2 is that of the cover.
     """
     k = spec.base.canonical
     chi = Fraction(0)
@@ -475,11 +480,43 @@ def invariants(spec: CoverSpec) -> CoverInvariants:
     if chi.denominator != 1:
         raise CoverDataError(f"non-integral chi {chi}")
     chi_int = int(chi)
+    _p, k2 = spec.ramification
+    e = _euler_number(spec)
+    if e is not None and 12 * chi_int != k2 + e:
+        raise AccountingError(f"Noether's formula fails: 12*chi = {12 * chi_int}, "
+                              f"but K^2 + e = {k2} + {e}")
     q = p_g - chi_int + 1
     if q < 0:
         raise CoverDataError(f"negative irregularity q={q}")
-    _p, k2 = spec.ramification
     return CoverInvariants(k2_cover=k2, chi=chi_int, p_g=p_g, q=q)
+
+
+def _euler_number(spec: CoverSpec) -> int | None:
+    """Topological Euler number of the resolved cover from the branch data,
+    or None when a crossing is unsupported, where the route does not apply.
+
+    The base (e = 3 + n) is cut into the complement of the branch divisor,
+    the branch curves D_i less their crossings, and the crossing points.
+    Above them lie |G|, |G|/|H_i| (H_i the inertia of D_i) and |G|/|J|
+    points (`BranchPointAnalysis.inertia_order`); each A1 node adds 1 when
+    it is resolved.  Assumes, as `classify_branch_points` does, that each
+    D_i is smooth, so e(D_i) = -D_i.(D_i + K) even when D_i is
+    disconnected, and that the D_i cross transversally with no triple
+    points.
+    """
+    if any(a.verdict == VERDICT_UNSUPPORTED for a in spec.branch_points):
+        return None
+    order = spec.group.order
+    k = spec.base.canonical
+    e = order * (3 + len(spec.base.lattice.exceptional_names))
+    for b in spec.branch:
+        if b.curve.is_zero:
+            continue
+        crossings = sum(a.crossing_points for a in spec.branch_points if b.name in a.location)
+        e += (order // b.pair.order - order) * (-b.curve.dot(b.curve + k) - crossings)
+    for a in spec.branch_points:
+        e += (order // a.inertia_order - order) * a.crossing_points
+    return int(e) + node_count(spec)
 
 
 def _integral(d: DivisorClass) -> DivisorClass:

@@ -243,10 +243,20 @@ def catalog_negative_curves(surface: BlowupSurface, degree_bound: int = DEFAULT_
     order, and every (-2)-candidate fails it.  The order cannot change a
     returned catalog: a candidate is kept exactly when it passes both
     tests, and h^0 has no effect but to fill the surface's caches.
+
+    The scan skips the exceptional curves E_j, which head the catalog.  A
+    candidate is (d, -m_1, ..., -m_n) with d >= 1 and every m_j >= 0, so it
+    meets E_j in m_j >= 0 and no E_j can reject it; only records of
+    positive degree can.  Skipping them keeps every answer and drops every
+    dot product with a degree-0 record.  The skip does not favour a scan
+    first: a (-2)-candidate on general points still meets every curve of
+    positive degree before h^0 rejects it, so the h^0-first order stays
+    the one that makes no dot product for it.
     """
     if degree_bound < 1:
         raise SurfaceError("degree bound must be >= 1")
     k = surface.canonical
+    n = len(surface.lattice.exceptional_names)
     records: list[CurveRecord] = []
     for sym in surface.lattice.exceptional_names:
         cls = surface.lattice.exceptional(sym)
@@ -266,7 +276,7 @@ def catalog_negative_curves(surface: BlowupSurface, degree_bound: int = DEFAULT_
     for cand in candidates:
         if surface.h0(cand) != 1:
             continue
-        if any(cand.dot(rec.cls) < 0 for rec in records):
+        if any(cand.dot(rec.cls) < 0 for rec in itertools.islice(records, n, None)):
             continue
         self_int = int(cand.dot(cand))
         kind = KIND_MINUS_ONE if self_int == -1 else KIND_MINUS_TWO

@@ -1,4 +1,7 @@
+import inspect
 import itertools
+import sys
+import types
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from math import gcd
@@ -6,10 +9,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scw import cover as cover_mod
 from scw.cover import (AccountingError, BranchComponent, BranchPointAnalysis, ContractionPlan,
                        ConsistencyReport, CoverDataError, CoverSpec, UnsupportedCharacter,
                        VERDICT_NODE_A1, VERDICT_SMOOTH, VERDICT_UNSUPPORTED,
-                       building_data_relations, canonical_cover, character_unknown_name,
+                       _euler_number, building_data_relations, canonical_cover, character_unknown_name,
                        classify_branch_points, derive_all_L, h0_vanishing_checks, invariants,
                        minimal_model, node_count, pair_rule_term, preimage_consistency,
                        pullback, quotient_cover, validate_cover_data)
@@ -326,6 +330,90 @@ def test_invariants(cover_g, cover_h):
     assert (inv_g.k2_cover, inv_g.chi, inv_g.p_g, inv_g.q) == (-1, 1, 0, 0)
     inv_h = invariants(cover_h)
     assert (inv_h.k2_cover, inv_h.chi, inv_h.p_g, inv_h.q) == (-10, 1, 0, 0)
+
+
+def test_euler_number_meets_noether(cover_g, cover_h):
+    # e = 12*chi - K^2: 12 + 1 on the bidouble cover, 12 + 10 with 4 A1
+    # nodes on the Z2 x Z4 cover
+    assert (_euler_number(cover_g), node_count(cover_g)) == (13, 0)
+    assert (_euler_number(cover_h), node_count(cover_h)) == (22, 4)
+    for spec in (cover_g, cover_h):
+        inv = invariants(spec)
+        assert 12 * inv.chi == inv.k2_cover + _euler_number(spec)
+
+
+def test_euler_route_does_not_apply_over_an_unsupported_crossing(cover_g):
+    lat = cover_g.base.lattice
+    pair = CyclicPair(cover_g.group, (1, 0), 1)
+    comps = (
+        BranchComponent("A", lat.divisor({"L": 1, "E1": -1, "E1p": -1}), pair, 1),
+        BranchComponent("B", lat.divisor({"L": 1, "E2": -1, "E2p": -1}), pair, 1),
+    )
+    assert _euler_number(replace(cover_g, branch=comps, reduced_l=())) is None
+
+
+def _with_cached(spec, **derived):
+    """A fresh copy of `spec` whose cached derived data is replaced, as if a
+    derivation had gone wrong after its own checks."""
+    fresh = replace(spec)
+    fresh.__dict__.update(derived)
+    return fresh
+
+
+def test_wrong_preimage_count_fails_noether(cover_h):
+    # only the A1 crossings read it, through the node count
+    nodes = [i for i, a in enumerate(cover_h.branch_points) if a.verdict == VERDICT_NODE_A1]
+    assert nodes
+    for i in nodes:
+        analyses = list(cover_h.branch_points)
+        analyses[i] = replace(analyses[i], preimage_count=analyses[i].preimage_count + 1)
+        with pytest.raises(AccountingError, match="Noether"):
+            invariants(_with_cached(cover_h, branch_points=tuple(analyses)))
+
+
+@pytest.mark.parametrize("which", ["g", "h"])
+def test_wrong_inertia_order_fails_noether(cover_g, cover_h, which):
+    spec = {"g": cover_g, "h": cover_h}[which]
+    order = spec.group.order
+    for i, a in enumerate(spec.branch_points):
+        j = a.inertia_order * 2 if order % (a.inertia_order * 2) == 0 else a.inertia_order // 2
+        analyses = list(spec.branch_points)
+        analyses[i] = replace(a, inertia_order=j)
+        with pytest.raises(AccountingError, match="Noether"):
+            invariants(_with_cached(spec, branch_points=tuple(analyses)))
+
+
+@pytest.mark.parametrize("which", ["g", "h"])
+def test_wrong_character_sheaf_fails_noether(cover_g, cover_h, which):
+    # adding 2L to L_chi moves its chi term by 2*L_chi.L - 1, never 0
+    spec = {"g": cover_g, "h": cover_h}[which]
+    two_lines = spec.base.lattice.divisor({"L": 2})
+    for chi in spec.all_l:
+        if chi == spec.group.identity():
+            continue
+        all_l = dict(spec.all_l)
+        all_l[chi] = all_l[chi] + two_lines
+        with pytest.raises(AccountingError, match="Noether"):
+            invariants(_with_cached(spec, all_l=all_l))
+
+
+def _mutant_cover_module(monkeypatch, old, new):
+    """`scw.cover` rebuilt from its source with one line changed."""
+    source = inspect.getsource(cover_mod)
+    assert source.count(old) == 1
+    module = types.ModuleType("scw._cover_mutant")
+    module.__package__ = "scw"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), cover_mod.__file__, "exec"), module.__dict__)
+    return module
+
+
+def test_sign_error_in_chi_sum_fails_noether(monkeypatch, cover_g, cover_h):
+    mutant = _mutant_cover_module(monkeypatch, "chi += 1 + l_chi.dot(l_chi + k) / 2",
+                                  "chi += 1 - l_chi.dot(l_chi + k) / 2")
+    for spec in (cover_g, cover_h):
+        with pytest.raises(mutant.AccountingError, match="Noether"):
+            mutant.invariants(spec)
 
 
 def test_h0_vanishing(cover_g, cover_h):

@@ -3,13 +3,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scw import oracle
 from scw.lattice import DivisorClass, LatticeMismatch, format_class
 from scw.oracle import FreePoint, LineThrough, PointOnLine
 from scw.surface import (KIND_MINUS_ONE, KIND_MINUS_TWO, KIND_OTHER, CurveRecord,
                          Pencil, SurfaceError, _candidate_multiplicity_vectors,
-                         _candidates, build_surface, catalog_negative_curves, contract,
+                         _candidate_vectors, _candidates, _class_of, build_surface, catalog_negative_curves, contract,
                          find_pencils, isolated_minus_one_curves, minus_one_curves,
                          minus_two_curves, singular_members)
 
@@ -357,6 +358,34 @@ def test_catalog_scans_only_candidates_with_one_section(monkeypatch):
         elif event[1] != surface.canonical.coeffs:  # K.C of a catalogued curve
             assert last_h0 == ("h0", event[1], 1)
     assert sum(event[0] == "dot" for event in events) > 0
+
+
+def test_catalog_scan_skips_the_exceptional_curves(monkeypatch):
+    surface = build_surface([FreePoint(f"p{i}") for i in range(1, 9)],
+                            [(f"p{i}", f"E{i}") for i in range(1, 9)])
+    others = []
+    dot = DivisorClass.dot
+
+    def recorded_dot(self, other):
+        others.append(other.coeffs[0])
+        return dot(self, other)
+
+    monkeypatch.setattr(DivisorClass, "dot", recorded_dot)
+    catalog_negative_curves(surface, 2)
+    # a scan that met the 8 E_j made 672 dot products with them here
+    assert others.count(0) == 0
+    assert others
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9), st.integers(1, 4), st.sampled_from((-2, -1, 0)))
+def test_no_candidate_meets_an_exceptional_curve_negatively(n, degree, self_int):
+    surface = _general_surface(n)
+    exceptionals = [surface.lattice.exceptional(sym) for sym in surface.lattice.exceptional_names]
+    for vec in _candidate_vectors(surface, degree, self_int):
+        cand = _class_of(surface, vec)
+        assert [cand.dot(e) for e in exceptionals] == [-m for m in vec[1:]]
+        assert all(m <= 0 for m in vec[1:])
 
 
 def _assert_members_match_reference(surface, degree_bound):
