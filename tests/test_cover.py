@@ -150,6 +150,8 @@ def test_unsupported_inertia_shape(cover_g):
     assert [a.verdict for a in analyses] == [VERDICT_UNSUPPORTED]
     # J is the shared order-2 subgroup, so two points lie above the crossing
     assert (analyses[0].inertia_order, analyses[0].preimage_count) == (2, 2)
+    # and the Euler-number route to chi does not apply
+    assert _euler_number(spec) is None
 
 
 def reference_classify_branch_points(spec):
@@ -340,16 +342,6 @@ def test_euler_number_meets_noether(cover_g, cover_h):
     for spec in (cover_g, cover_h):
         inv = invariants(spec)
         assert 12 * inv.chi == inv.k2_cover + _euler_number(spec)
-
-
-def test_euler_route_does_not_apply_over_an_unsupported_crossing(cover_g):
-    lat = cover_g.base.lattice
-    pair = CyclicPair(cover_g.group, (1, 0), 1)
-    comps = (
-        BranchComponent("A", lat.divisor({"L": 1, "E1": -1, "E1p": -1}), pair, 1),
-        BranchComponent("B", lat.divisor({"L": 1, "E2": -1, "E2p": -1}), pair, 1),
-    )
-    assert _euler_number(replace(cover_g, branch=comps, reduced_l=())) is None
 
 
 def _with_cached(spec, **derived):
