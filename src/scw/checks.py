@@ -492,7 +492,7 @@ def check_canonical_cover(wb, name, cover, n: _positive, expected_k2: _rat,
 
 def check_invariants(wb, name, cover, expected: _object(
         {"chi": _int, "p_g": _int, "q": _int, "k2_cover": _rat_text}, optional=("k2_cover",))):
-    inv = cover_mod.invariants(cover)
+    inv = cover.invariants
     got = {"chi": inv.chi, "p_g": inv.p_g, "q": inv.q, "k2_cover": str(inv.k2_cover)}
     return [equality_check(name, {key: got[key] for key in expected}, expected)]
 

@@ -64,8 +64,8 @@ class BranchComponent:
 @dataclass(frozen=True)
 class CoverSpec:
     """Building data of one cover.  Frozen, so the derived data cached on
-    first use (pair_divisors, levels, all_l, branch_points, ramification)
-    can never go stale."""
+    first use (pair_divisors, levels, all_l, branch_points, ramification,
+    invariants) can never go stale; a derivation that raises caches nothing."""
 
     name: str
     group: FiniteAbelianGroup
@@ -103,6 +103,10 @@ class CoverSpec:
     def ramification(self) -> tuple[DivisorClass, Fraction]:
         """canonical_cover at the group exponent: the class P and K^2."""
         return canonical_cover(self)
+
+    @cached_property
+    def invariants(self) -> CoverInvariants:
+        return invariants(self)
 
     def branch_by_name(self) -> dict[str, BranchComponent]:
         return {b.name: b for b in self.branch}
@@ -226,7 +230,9 @@ def derive_all_L(spec: CoverSpec) -> dict[Character, DivisorClass]:
     """Character sheaf classes for every character, from the generators.
 
     Uses the pair rule L_{ab} = L_a + L_b - sum(eps*D) and checks every
-    derivation path; a disagreement raises InconsistentDerivation.
+    derivation path; a disagreement raises InconsistentDerivation.  Each
+    unordered pair, a = b and the identity included, is taken once: addition
+    commutes and pair_rule_term is symmetric, so (b, a) repeats (a, b).
     """
     group = spec.group
     known: dict[Character, DivisorClass] = {group.identity(): spec.base.lattice.zero()}
@@ -239,7 +245,7 @@ def derive_all_L(spec: CoverSpec) -> dict[Character, DivisorClass]:
     total = len(group.characters())
     while len(known) < total:
         progressed = False
-        for a, b in itertools.product(list(known), repeat=2):
+        for a, b in itertools.combinations_with_replacement(list(known), 2):
             ab = group.add(a, b)
             if ab not in known:
                 known[ab] = pair_value(a, b)
@@ -247,7 +253,7 @@ def derive_all_L(spec: CoverSpec) -> dict[Character, DivisorClass]:
         if not progressed:
             raise CoverDataError("the given characters do not generate the character group")
     # verify path independence across every derivation pair
-    for a, b in itertools.product(list(known), repeat=2):
+    for a, b in itertools.combinations_with_replacement(list(known), 2):
         ab = group.add(a, b)
         val = pair_value(a, b)
         if known[ab] != val:
@@ -612,7 +618,7 @@ def minimal_model(spec: CoverSpec, plan: ContractionPlan) -> CoverInvariants:
     proxy asks P_S . C = 0 exactly for contracted curves and P_S . C > 0
     for every other catalogued curve on the base.
     """
-    inv = invariants(spec)
+    inv = spec.invariants
     p, k2_cover = spec.ramification
     by_name = spec.branch_by_name()
     contracted: list[BranchComponent] = []

@@ -74,16 +74,23 @@ class FiniteAbelianGroup:
 
 
 def all_subgroups(group: FiniteAbelianGroup) -> list[frozenset[Element]]:
-    """Every subgroup, by growing closures one generator at a time."""
+    """Every subgroup, by order and then elements: each H found grows to
+    H + <x>, the union of the cosets kx + H, for one x per coset of H,
+    at |H + <x>| additions each (every x' in x + H gives the same H + <x'>)."""
     found = {frozenset({group.identity()})}
     frontier = list(found)
     elems = group.elements()
     while frontier:
         sub = frontier.pop()
+        tried = set(sub)
         for x in elems:
-            if x in sub:
+            if x in tried:
                 continue
-            bigger = group.subgroup_closure(list(sub) + [x])
+            cosets = [{group.add(x, h) for h in sub}]
+            while not cosets[-1] <= sub:
+                cosets.append({group.add(x, h) for h in cosets[-1]})
+            tried |= cosets[0]
+            bigger = sub.union(*cosets)
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)

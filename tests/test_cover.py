@@ -1,3 +1,4 @@
+import collections
 import inspect
 import itertools
 import sys
@@ -9,14 +10,14 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scw import cover as cover_mod
+from scw import checks as checks_mod, cover as cover_mod, workbench
 from scw.cover import (AccountingError, BranchComponent, BranchPointAnalysis, ContractionPlan,
-                       ConsistencyReport, CoverDataError, CoverSpec, UnsupportedCharacter,
-                       VERDICT_NODE_A1, VERDICT_SMOOTH, VERDICT_UNSUPPORTED,
-                       _euler_number, building_data_relations, canonical_cover, character_unknown_name,
-                       classify_branch_points, derive_all_L, h0_vanishing_checks, invariants,
-                       minimal_model, node_count, pair_rule_term, preimage_consistency,
-                       pullback, quotient_cover, validate_cover_data)
+                       ConsistencyReport, CoverDataError, CoverSpec, InconsistentDerivation,
+                       UnsupportedCharacter, VERDICT_NODE_A1, VERDICT_SMOOTH, VERDICT_UNSUPPORTED,
+                       _chi_name, _euler_number, building_data_relations, canonical_cover,
+                       character_unknown_name, classify_branch_points, derive_all_L,
+                       h0_vanishing_checks, invariants, minimal_model, node_count, pair_rule_term,
+                       preimage_consistency, pullback, quotient_cover, validate_cover_data)
 from scw.groups import CyclicPair, FiniteAbelianGroup, restriction_level
 from scw.lattice import adjunction_genus, solve_linear
 
@@ -389,10 +390,10 @@ def test_wrong_character_sheaf_fails_noether(cover_g, cover_h, which):
             invariants(_with_cached(spec, all_l=all_l))
 
 
-def _mutant_cover_module(monkeypatch, old, new):
-    """`scw.cover` rebuilt from its source with one line changed."""
+def _mutant_cover_module(monkeypatch, old, new, count=1):
+    """`scw.cover` rebuilt from its source with `count` copies of one line changed."""
     source = inspect.getsource(cover_mod)
-    assert source.count(old) == 1
+    assert source.count(old) == count
     module = types.ModuleType("scw._cover_mutant")
     module.__package__ = "scw"
     monkeypatch.setitem(sys.modules, module.__name__, module)
@@ -406,6 +407,88 @@ def test_sign_error_in_chi_sum_fails_noether(monkeypatch, cover_g, cover_h):
     for spec in (cover_g, cover_h):
         with pytest.raises(mutant.AccountingError, match="Noether"):
             mutant.invariants(spec)
+
+
+def test_paper_suite_computes_the_invariants_once_per_cover(monkeypatch):
+    # the invariants check and minimal_model both read CoverSpec.invariants
+    calls = collections.Counter()
+    for name in ("invariants", "_euler_number"):
+        def counting(spec, _original=getattr(cover_mod, name), _name=name):
+            calls[_name, spec.name] += 1
+            return _original(spec)
+        monkeypatch.setattr(cover_mod, name, counting)
+    report = workbench.paper_suite(0)
+    assert all(c.status == "pass" for c in report.checks)
+    assert calls == {(name, cover): 1 for name in ("invariants", "_euler_number")
+                     for cover in ("inoue_bidouble", "inoue_z2z4")}
+
+
+def _noether_mutants(spec):
+    """The derived data of the Noether mutants above, one dict per mutant."""
+    order = spec.group.order
+    for i, a in enumerate(spec.branch_points):
+        analyses = list(spec.branch_points)
+        j = a.inertia_order * 2 if order % (a.inertia_order * 2) == 0 else a.inertia_order // 2
+        analyses[i] = replace(a, inertia_order=j)
+        yield {"branch_points": tuple(analyses)}
+        if a.verdict == VERDICT_NODE_A1:
+            analyses[i] = replace(a, preimage_count=a.preimage_count + 1)
+            yield {"branch_points": tuple(analyses)}
+    two_lines = spec.base.lattice.divisor({"L": 2})
+    for chi in spec.all_l:
+        if chi != spec.group.identity():
+            yield {"all_l": {**spec.all_l, chi: spec.all_l[chi] + two_lines}}
+
+
+@pytest.mark.parametrize("fixture", ["inoue_bidouble", "inoue_z2z4"])
+def test_noether_failure_fails_invariants_and_minimal_model_alike(fixture):
+    # a raising cached property caches nothing, so minimal_model, reading
+    # the spec's invariants after the invariants check, fails the same way
+    wf = workbench.load_bundled(f"{fixture}.json")
+    entries = [e for e in wf.checks if e.kind in ("invariants", "minimal_model")]
+    assert [e.kind for e in entries] == ["invariants", "minimal_model"]
+    for derived in _noether_mutants(workbench.Workbench(wf, seed=0).cover(fixture)):
+        wb = workbench.Workbench(wf, seed=0)
+        spec = wb.cover(fixture)
+        spec.__dict__.update(derived)
+        lines = [line for entry in entries for line in checks_mod.run_check(wb, entry)]
+        assert [line.status for line in lines] == ["fail", "fail"]
+        assert lines[0].computed == lines[1].computed
+        assert lines[0].computed.startswith("AccountingError: Noether's formula fails")
+        assert "invariants" not in spec.__dict__
+
+
+def _broken_reduced_l(spec):
+    """(spec, case) with a wrong class: L added to each given generator in
+    turn, then a nonzero class L given on the trivial character."""
+    line = spec.base.lattice.divisor({"L": 1})
+    for i, (chi, cls) in enumerate(spec.reduced_l):
+        broken = list(spec.reduced_l)
+        broken[i] = (chi, cls + line)
+        yield replace(spec, reduced_l=tuple(broken)), f"generator {_chi_name(chi)}"
+    yield replace(spec, reduced_l=((spec.group.identity(), line),) + spec.reduced_l), "trivial"
+
+
+def test_inconsistent_derivation_text_matches_the_ordered_pair_scan(monkeypatch, cover_g, cover_h):
+    # (b, a) fails exactly when (a, b) does, so the first failing ordered
+    # pair has a no later than b, and the unordered scan meets it first; the
+    # (e, e) pair stays checked and catches a class on the trivial character
+    ordered = _mutant_cover_module(
+        monkeypatch, "itertools.combinations_with_replacement(list(known), 2)",
+        "itertools.product(list(known), repeat=2)", count=2)
+    texts = {}
+    for spec in (cover_g, cover_h):
+        for broken, case in _broken_reduced_l(spec):
+            with pytest.raises(InconsistentDerivation) as got:
+                derive_all_L(broken)
+            with pytest.raises(ordered.InconsistentDerivation) as want:
+                ordered.derive_all_L(broken)
+            assert str(got.value) == str(want.value)
+            texts[spec.name, case] = str(got.value)
+    assert texts["inoue_bidouble", "generator c01"] == "L_c00 derived as 2L via c01*c01 but already 0"
+    assert texts["inoue_z2z4", "generator c01"] == "L_c00 derived as 4L via c01*c03 but already 0"
+    for cover in ("inoue_bidouble", "inoue_z2z4"):
+        assert texts[cover, "trivial"] == "L_c00 derived as 2L via c00*c00 but already L"
 
 
 def test_h0_vanishing(cover_g, cover_h):

@@ -27,10 +27,24 @@ def brute_force_subgroups(group):
     return found
 
 
-@pytest.mark.parametrize("orders", [(2, 2), (2, 4), (2, 2, 2), (8,), (4, 4), (16,), (3, 3)])
+@pytest.mark.parametrize("orders", [(2, 2), (2, 4), (2, 2, 2), (8,), (4, 4), (16,), (3, 3),
+                                    (), (6,), (2, 2, 4)])
 def test_subgroup_enumeration_matches_brute_force(orders):
+    # the coset sweep must reach every subgroup, and the list order (by
+    # order, then by sorted elements) must not depend on the search order
     group = FiniteAbelianGroup(orders)
-    assert set(all_subgroups(group)) == brute_force_subgroups(group)
+    expected = sorted(brute_force_subgroups(group), key=lambda s: (len(s), sorted(s)))
+    assert all_subgroups(group) == expected
+
+
+@pytest.mark.parametrize("orders, total", [
+    ((2, 2, 2), 16),  # 1 + 7 + 7 + 1: as many order-4 as order-2 subgroups, by duality
+    ((2, 4), 8),      # 1 + 3 + 3 (two cyclic, one Z2^2) + 1
+    ((4, 4), 15),     # 1 + 3 + 7 + 3 + 1
+    ((3, 3), 6),      # p + 3 for Z_p^2: the trivial group, p + 1 lines, the whole group
+])
+def test_subgroup_totals_in_closed_form(orders, total):
+    assert len(all_subgroups(FiniteAbelianGroup(orders))) == total
 
 
 def test_subgroup_counts():
