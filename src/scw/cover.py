@@ -321,9 +321,8 @@ def classify_branch_points(spec: CoverSpec) -> list[BranchPointAnalysis]:
         crossings = b1.curve.dot(b2.curve)
         if crossings <= 0:
             continue
-        s1 = b1.pair.subgroup()
-        s2 = b2.pair.subgroup()
-        j = len(spec.group.subgroup_closure(list(s1 | s2)))
+        s1, s2 = b1.pair.subgroup, b2.pair.subgroup
+        j = len(s1) * len(s2) // len(s1 & s2)  # |S1 + S2|, G abelian
         if s1 & s2 == {spec.group.identity()}:
             verdict = VERDICT_SMOOTH
         elif (s1 < s2 or s2 < s1) and sorted((len(s1), len(s2))) == [2, 4]:
@@ -571,7 +570,7 @@ def quotient_cover(spec: CoverSpec, chi: Character) -> CoverSpec:
         if comp.curve.is_zero:
             continue
         # inertia surjects onto the quotient iff it is not inside the kernel
-        if all(group.char_exponent(chi, a) == 0 for a in comp.pair.subgroup()):
+        if all(group.char_exponent(chi, a) == 0 for a in comp.pair.subgroup):
             continue
         new_branch.append(BranchComponent(
             name=comp.name,

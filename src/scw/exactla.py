@@ -16,6 +16,16 @@ reduces only the pivot row mod PRIME, once; every other row x becomes
 The slots only grow, so no borrow crosses a slot, and the width keeps every
 slot below 2^width, so no carry does: a slot starts below PRIME and gains
 at most (PRIME-1)^2 per column eliminated, and there are fewer than ncols.
+
+The pivot's tail is reduced in whole-int operations, all slots at once.
+PRIME = 2^30 - 35, so 2^30 = 35 mod PRIME, and a fold rewrites each slot
+hi*2^30 + lo as hi*35 + lo, congruent and smaller, with per-slot masks
+built once per matrix.  `_folds(width)` is the number of folds that brings
+any slot below 2^width under 2*PRIME (two, for every ncols below 2^18);
+then adding 2^31 - PRIME to a slot sets its bit 31 exactly when the slot
+is at least PRIME, and that guard bit says where to subtract PRIME.  No
+step carries or borrows across a slot, and every tail slot ends fully
+reduced, below PRIME, so the slot bound above holds as it did.
 """
 
 from __future__ import annotations
@@ -68,12 +78,33 @@ def slot_width(ncols: int) -> int:
     return 2 * PRIME.bit_length() + ncols.bit_length() + 1
 
 
-def pack(residues, width: int) -> int:
-    """The residues as one int, column j in bits [j*width, (j+1)*width)."""
-    x = 0
-    for v in reversed(residues):
-        x = x << width | v
-    return x
+def _folds(width: int) -> int:
+    """Folds that bring any slot below 2^width under 2*PRIME.
+
+    A fold leaves a slot at most B at most 35*(B >> 30) + 2^30 - 1.
+    """
+    bound, folds = (1 << width) - 1, 0
+    while bound >= 2 * PRIME:
+        bound, folds = (bound >> 30) * 35 + (1 << 30) - 1, folds + 1
+    return folds
+
+
+def _fold_masks(ncols: int) -> tuple[int, int, int, int, int]:
+    """What `_reduce_slots` needs for rows of ncols slots at their width:
+    per slot, the masks of its low 30 and low width-30 bits, its bit 0 and
+    the bias 2^31 - PRIME; and the number of folds."""
+    w = slot_width(ncols)
+    ones = ((1 << ncols * w) - 1) // ((1 << w) - 1)
+    return (ones * ((1 << 30) - 1), ones * ((1 << w - 30) - 1), ones,
+            ones * ((1 << 31) - PRIME), _folds(w))
+
+
+def _reduce_slots(x: int, masks) -> int:
+    """x with every slot reduced mod PRIME (module docstring)."""
+    lo, hi, ones, bias, folds = masks
+    for _ in range(folds):
+        x = ((x >> 30) & hi) * 35 + (x & lo)
+    return x - ((x + bias) >> 31 & ones) * PRIME
 
 
 class Packed:
@@ -99,12 +130,12 @@ def _rank_mod_p(rows: list[int], ncols: int) -> int:
     """Rank over Z/PRIME of packed rows of ncols residues.
 
     Column by column, the pivot is the first row whose low slot is nonzero
-    mod PRIME; it leaves the rows, and its tail is reduced mod PRIME.  Every
-    other row drops its low slot and adds f times that tail, where f is
-    minus its low slot over the pivot's, mod PRIME.  The input is not
-    modified.
+    mod PRIME; it leaves the rows, and its tail is reduced mod PRIME by
+    folding.  Every other row drops its low slot and adds f times that
+    tail, where f is minus its low slot over the pivot's, mod PRIME.  The
+    input is not modified.
     """
-    w = slot_width(ncols)
+    w, masks = slot_width(ncols), _fold_masks(ncols)
     low = (1 << w) - 1
     m, r = list(rows), 0
     for k in range(ncols):
@@ -114,7 +145,7 @@ def _rank_mod_p(rows: list[int], ncols: int) -> int:
             continue
         top = m.pop(piv)
         neg_inv = PRIME - pow((top & low) % PRIME, -1, PRIME)
-        tail = pack([((top >> j * w) & low) % PRIME for j in range(1, ncols - k)], w)
+        tail = _reduce_slots(top >> w, masks)
         m = [(x >> w) + (x & low) * neg_inv % PRIME * tail for x in m]
         r += 1
         if not m:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 Element = tuple[int, ...]
@@ -126,7 +127,8 @@ class CyclicPair:
     """A cyclic subgroup C = <generator> with a faithful character phi on it.
 
     phi(generator) = exp(2*pi*i*exponent/order(generator)); faithfulness is
-    gcd(exponent, order) = 1.
+    gcd(exponent, order) = 1.  The subgroup C is closed once per pair and
+    cached.
     """
 
     group: FiniteAbelianGroup
@@ -145,6 +147,7 @@ class CyclicPair:
     def order(self) -> int:
         return self.group.element_order(self.generator)
 
+    @cached_property
     def subgroup(self) -> frozenset[Element]:
         return self.group.subgroup_closure([self.generator])
 

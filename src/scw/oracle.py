@@ -8,14 +8,15 @@ undeclared collinearities) are rejected and retried.  h^0 of d*L - sum(m_i
 E_i) is then the corank of the interpolation matrix imposing multiplicity
 m_i at each realized point.  Its rank over Q is certified: the rank mod the
 prime exactla.PRIME, just below 2^30, is a lower bound, exact when it is
-full.  The rows are built as residues directly and packed one int per row
-(the format of `exactla`); the exact integer rows are built only when that
-rank is not full, and fraction-free elimination over Z then decides.  The
-residue rows of one condition depend only on (point, multiplicity, degree),
-and the slot width only on the degree, so each `Realization` keeps every
-block it has built, packed and keyed so, and later queries join the cached
-blocks without packing again.  Results are accepted only on consensus
-across several seeds.
+full.  Each row is built in one pass as one packed int (the format of
+`exactla`), its residues shifted in from tables of powers and partials mod
+PRIME, with no list of residues between; the exact integer rows are built
+only when that rank is not full, and fraction-free elimination over Z then
+decides.  The rows of one condition depend only on (point, multiplicity,
+degree), and the slot width only on the degree, so each `Realization`
+keeps every block it has built, keyed so, and later queries join the
+cached blocks without building them again.  Results are accepted only on
+consensus across several seeds.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from math import comb, gcd, perm
 
-from .exactla import PRIME, Packed, pack, rank, slot_width
+from .exactla import PRIME, Packed, rank, slot_width
 
 COORD_BOX = 10_000
 MAX_ATTEMPTS = 64
@@ -210,11 +211,10 @@ def realize_configuration(script, seed: int, marked_points=None) -> Realization:
     unknown = marked - set(point_names)
     if unknown:
         raise ScriptError(f"marked points not in script: {sorted(unknown)}")
-    declared: set[frozenset[str]] = set()
+    # combinations of sorted names are sorted tuples, as _rejection draws them
+    declared: set[tuple[str, str, str]] = set()
     for pts in incidence.values():
-        mk = sorted(pts & marked)
-        for triple in itertools.combinations(mk, 3):
-            declared.add(frozenset(triple))
+        declared.update(itertools.combinations(sorted(pts & marked), 3))
 
     mk = sorted(marked)
     reasons = []
@@ -249,7 +249,7 @@ def _rejection(points, lines, incidence, mk, declared) -> str | None:
             return f"marked points {p!r} and {q!r} coincide"
     for triple in itertools.combinations(mk, 3):
         collinear = _det3(*(points[t] for t in triple)) == 0
-        if collinear != (frozenset(triple) in declared):
+        if collinear != (triple in declared):
             names = ", ".join(map(repr, triple))
             return (f"marked points {names} are collinear but no line of the script holds them"
                     if collinear else f"marked points {names} are declared collinear but are not")
@@ -276,13 +276,15 @@ def _multiplicity_rows(point: Triple, mult: int, degree: int, monomials) -> list
     return rows
 
 
-def _residue_rows(point: Triple, mult: int, degree: int, monomials) -> list[list[int]]:
-    """`_multiplicity_rows` mod PRIME, without the exact products.
+def _residue_rows(point: Triple, mult: int, degree: int, monomials) -> tuple[int, ...]:
+    """`_multiplicity_rows` mod PRIME, packed at the slot width of the
+    monomial count, without the exact products.
 
     The order-(u, v, w) partial of x^a y^b z^c at the point is the product
     of perm(a, u) x^(a-u), perm(b, v) y^(b-v) and perm(c, w) z^(c-w); each
     factor is tabulated mod PRIME once per coordinate and order (the
-    order-0 table is the powers themselves).
+    order-0 table is the powers themselves).  A row is shifted in from its
+    last column to its first, each slot a residue below PRIME.
     """
     tables = []
     for t in point:
@@ -290,8 +292,14 @@ def _residue_rows(point: Triple, mult: int, degree: int, monomials) -> list[list
         tables.append([powers] + [[perm(a, u) * powers[a - u] % PRIME if a >= u else 0
                                    for a in range(degree + 1)] for u in range(1, mult)])
     xs, ys, zs = tables
-    return [[x[a] * y[b] % PRIME * z[c] % PRIME for a, b, c in monomials]
-            for x, y, z in ((xs[u], ys[v], zs[w]) for u, v, w in _monomial_exponents(mult - 1))]
+    width, columns = slot_width(len(monomials)), monomials[::-1]
+    rows = []
+    for u, v, w in _monomial_exponents(mult - 1):
+        x, y, z, row = xs[u], ys[v], zs[w], 0
+        for a, b, c in columns:
+            row = row << width | x[a] * y[b] % PRIME * z[c] % PRIME
+        rows.append(row)
+    return tuple(rows)
 
 
 def _monomial_exponents(degree: int):
@@ -320,14 +328,13 @@ def h0_from_realization(realization: Realization, degree: int, multiplicities: d
     n_cols = comb(degree + 2, 2)
     if not conditions:
         return n_cols
-    blocks, monomials, width = realization.blocks, None, slot_width(n_cols)
+    blocks, monomials = realization.blocks, None
     residues = []
     for name, point, mult in conditions:
         block = blocks.get((name, mult, degree))
         if block is None:
             monomials = monomials or list(_monomial_exponents(degree))
-            block = blocks[name, mult, degree] = tuple(
-                pack(row, width) for row in _residue_rows(point, mult, degree, monomials))
+            block = blocks[name, mult, degree] = _residue_rows(point, mult, degree, monomials)
         residues.extend(block)
     return n_cols - rank(Packed(residues, n_cols), exact=lambda: [
         row for monomials in [list(_monomial_exponents(degree))]

@@ -166,8 +166,8 @@ def reference_classify_branch_points(spec):
         crossings = b1.curve.dot(b2.curve)
         if crossings <= 0:
             continue
-        s1 = b1.pair.subgroup()
-        s2 = b2.pair.subgroup()
+        s1 = b1.pair.subgroup
+        s2 = b2.pair.subgroup
         names = (b1.name, b2.name)
         if s1 & s2 == {spec.group.identity()}:
             product = spec.group.subgroup_closure(list(s1 | s2))
@@ -196,7 +196,7 @@ def reference_preimage_consistency(spec, comp, analyses):
         crossings = comp.curve.dot(other.curve)
         if crossings <= 0:
             continue
-        j = spec.group.subgroup_closure(list(comp.pair.subgroup() | other.pair.subgroup()))
+        j = spec.group.subgroup_closure(list(comp.pair.subgroup | other.pair.subgroup))
         total_r += crossings * (Fraction(len(j), e) - 1) * Fraction(order, len(j))
     r = total_r / pb.components
     hurwitz = (pb.map_degree * (2 * g_base - 2) + r + 2) / 2
@@ -421,6 +421,22 @@ def test_paper_suite_computes_the_invariants_once_per_cover(monkeypatch):
     assert all(c.status == "pass" for c in report.checks)
     assert calls == {(name, cover): 1 for name in ("invariants", "_euler_number")
                      for cover in ("inoue_bidouble", "inoue_z2z4")}
+
+
+def test_paper_suite_closes_each_inertia_subgroup_once(monkeypatch):
+    # each CyclicPair closes its subgroup once, and classify_branch_points
+    # takes |J| = |S1||S2|/|S1 & S2| without closing the join
+    calls = []
+    original = FiniteAbelianGroup.add
+
+    def counting(self, a, b):
+        calls.append(None)
+        return original(self, a, b)
+
+    monkeypatch.setattr(FiniteAbelianGroup, "add", counting)
+    report = workbench.paper_suite(0)
+    assert all(c.status == "pass" for c in report.checks)
+    assert len(calls) <= 545
 
 
 def _noether_mutants(spec):

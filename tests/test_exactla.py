@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scw.exactla as exactla
-from scw.exactla import PRIME, Packed, det_bareiss, pack, slot_width
+from scw.exactla import PRIME, Packed, det_bareiss, slot_width
 from scw.oracle import (FreePoint, Realization, _monomial_exponents, _multiplicity_rows,
                         _residue_rows, h0_from_realization, realization_to_json,
                         realize_configuration)
@@ -34,6 +34,14 @@ def reference_rank(rows) -> int:
         if r == len(m):
             break
     return r
+
+
+def pack(residues, width: int) -> int:
+    """The residues as one int, column j in bits [j*width, (j+1)*width)."""
+    x = 0
+    for v in reversed(residues):
+        x = x << width | v
+    return x
 
 
 def packed(rows) -> Packed:
@@ -148,6 +156,40 @@ def test_slot_width_holds_every_slot():
         assert PRIME + ncols * (PRIME - 1) ** 2 < 2 ** slot_width(ncols)
 
 
+# per-slot edge values of the fold reduction; 2^width - 1 is added per width
+EDGES = (0, PRIME - 1, PRIME, 2 * PRIME, 2 * PRIME + 5, 2**31 - 1, PRIME**2)
+FOLD_NCOLS = [*range(1, 129), 4096]
+
+
+def test_fold_reduces_every_slot_exactly():
+    for ncols in FOLD_NCOLS:
+        width, masks = slot_width(ncols), exactla._fold_masks(ncols)
+        edges = EDGES + ((1 << width) - 1,)
+        for shift in range(len(edges)):
+            slots = [edges[(j + shift) % len(edges)] for j in range(ncols)]
+            assert exactla._reduce_slots(pack(slots, width), masks) == pack(
+                [v % PRIME for v in slots], width)
+
+
+def test_one_fold_fewer_leaves_the_widest_slot_unreduced(monkeypatch):
+    folds = exactla._folds
+    monkeypatch.setattr(exactla, "_folds", lambda width: folds(width) - 1)
+    for ncols in FOLD_NCOLS:
+        widest = (1 << slot_width(ncols)) - 1
+        assert exactla._reduce_slots(widest, exactla._fold_masks(ncols)) != widest % PRIME
+
+
+@pytest.mark.parametrize("ncols", [31, 32, 63, 64])
+def test_rank_mod_p_at_slot_width_steps(ncols):
+    # every entry PRIME - 1 = -1 (rank 1), and I - J, its zero-diagonal
+    # variant, whose determinant 1 - ncols is a unit, so every column pivots
+    full = [[PRIME - 1] * ncols for _ in range(ncols)]
+    hollow = [[0 if i == j else PRIME - 1 for j in range(ncols)] for i in range(ncols)]
+    for rows in (full, hollow, hollow[1:], [row[1:] for row in hollow]):
+        assert rank_mod_p(rows) == reference_rank_mod_p(rows)
+    assert rank_mod_p(hollow) == ncols
+
+
 def test_packed_rows_read_back_as_residue_rows():
     rows = [[0, PRIME - 1, 5], [PRIME - 1] * 3]
     assert list(packed(rows)) == rows
@@ -158,10 +200,14 @@ def test_rank_mod_p_of_the_largest_interpolation_matrix():
     # degree 12, multiplicity 4 at 9 of 10 general points: 90 x 91, rank 90
     realization = realize_configuration([FreePoint(f"p{i}") for i in range(10)], 0)
     monomials = list(_monomial_exponents(12))
-    rows = [row for i in range(9)
-            for row in _residue_rows(realization.points[f"p{i}"], 4, 12, monomials)]
+    residues = Packed([row for i in range(9)
+                       for row in _residue_rows(realization.points[f"p{i}"], 4, 12, monomials)],
+                      len(monomials))
+    rows = list(residues)
     assert (len(rows), len(monomials)) == (90, 91)
-    assert rank_mod_p(rows) == reference_rank_mod_p(rows) == 90
+    assert exactla._rank_mod_p(residues.rows, residues.ncols) == reference_rank_mod_p(rows) == 90
+    assert rows == [[x % PRIME for x in row] for i in range(9)
+                    for row in _multiplicity_rows(realization.points[f"p{i}"], 4, 12, monomials)]
     assert h0_from_realization(realization, 12, {f"p{i}": 4 for i in range(9)}) == 1
 
 
@@ -260,8 +306,8 @@ def test_cached_blocks_are_the_residue_rows_after_rank():
     assert len(realization.blocks) > 50
     for (name, mult, degree), block in realization.blocks.items():
         monomials = list(_monomial_exponents(degree))
-        rows = _residue_rows(realization.points[name], mult, degree, monomials)
-        assert block == tuple(pack(row, slot_width(len(monomials))) for row in rows)
+        exact = _multiplicity_rows(realization.points[name], mult, degree, monomials)
+        assert list(Packed(block, len(monomials))) == [[x % PRIME for x in row] for row in exact]
 
 
 def test_realization_equality_and_export_ignore_the_row_blocks():
@@ -282,7 +328,9 @@ COORDS = (st.integers(-(2**70), 2**70) | st.integers(2**30, 2**40)
 @given(st.tuples(COORDS, COORDS, COORDS), st.integers(1, 12))
 def test_residue_rows_are_the_exact_rows_mod_the_prime(point, degree):
     monomials = list(_monomial_exponents(degree))
+    bound = 1 << slot_width(len(monomials)) * len(monomials)
     for mult in range(1, degree + 1):
         exact = _multiplicity_rows(point, mult, degree, monomials)
-        assert _residue_rows(point, mult, degree, monomials) == [
-            [x % PRIME for x in row] for row in exact]
+        block = _residue_rows(point, mult, degree, monomials)
+        assert all(row < bound for row in block)
+        assert list(Packed(block, len(monomials))) == [[x % PRIME for x in row] for row in exact]
