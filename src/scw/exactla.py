@@ -20,17 +20,18 @@ at most (PRIME-1)^2 per column eliminated, and there are fewer than ncols.
 The pivot's tail is reduced in whole-int operations, all slots at once.
 PRIME = 2^30 - 35, so 2^30 = 35 mod PRIME, and a fold rewrites each slot
 hi*2^30 + lo as hi*35 + lo, congruent and smaller, with per-slot masks
-built once per matrix.  `_folds(width)` is the number of folds that brings
-any slot below 2^width under 2*PRIME (two, for every ncols below 2^18);
-then adding 2^31 - PRIME to a slot sets its bit 31 exactly when the slot
-is at least PRIME, and that guard bit says where to subtract PRIME.  No
-step carries or borrows across a slot, and every tail slot ends fully
+built once per column count.  `_folds(width)` is the number of folds that
+brings any slot below 2^width under 2*PRIME (two, for every ncols below
+2^18); then adding 2^31 - PRIME to a slot sets its bit 31 exactly when the
+slot is at least PRIME, and that guard bit says where to subtract PRIME.
+No step carries or borrows across a slot, and every tail slot ends fully
 reduced, below PRIME, so the slot bound above holds as it did.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm, prod
 
 PRIME = 1073741789  # the largest prime below 2**30
@@ -89,10 +90,13 @@ def _folds(width: int) -> int:
     return folds
 
 
+@cache
 def _fold_masks(ncols: int) -> tuple[int, int, int, int, int]:
     """What `_reduce_slots` needs for rows of ncols slots at their width:
     per slot, the masks of its low 30 and low width-30 bits, its bit 0 and
-    the bias 2^31 - PRIME; and the number of folds."""
+    the bias 2^31 - PRIME; and the number of folds.  Built once per column
+    count: most matrices are tiny, and building them cost about as much as
+    ranking one."""
     w = slot_width(ncols)
     ones = ((1 << ncols * w) - 1) // ((1 << w) - 1)
     return (ones * ((1 << 30) - 1), ones * ((1 << w - 30) - 1), ones,

@@ -15,8 +15,9 @@ only when that rank is not full, and fraction-free elimination over Z then
 decides.  The rows of one condition depend only on (point, multiplicity,
 degree), and the slot width only on the degree, so each `Realization`
 keeps every block it has built, keyed so, and later queries join the
-cached blocks without building them again.  Results are accepted only on
-consensus across several seeds.
+cached blocks without building them again.  A positive h^0 is accepted
+only on consensus across several seeds; a zero at one seed is a proof
+(`surface.BlowupSurface.h0`).
 """
 
 from __future__ import annotations
@@ -138,14 +139,6 @@ def _normalize(v: Triple) -> Triple:
     return v
 
 
-def _det3(p: Triple, q: Triple, r: Triple) -> int:
-    return (
-        p[0] * (q[1] * r[2] - q[2] * r[1])
-        - p[1] * (q[0] * r[2] - q[2] * r[0])
-        + p[2] * (q[0] * r[1] - q[1] * r[0])
-    )
-
-
 @dataclass(frozen=True)
 class Realization:
     seed: int
@@ -244,15 +237,24 @@ def _rejection(points, lines, incidence, mk, declared) -> str | None:
         off = [p for p in pts if sum(a * b for a, b in zip(points[p], line)) != 0]
         if off:
             return f"point {min(off)!r} is off line {ln!r}"
-    for p, q in itertools.combinations(mk, 2):
-        if points[p] == points[q]:
+    marked = [(p, points[p]) for p in mk]
+    for (p, pp), (q, qp) in itertools.combinations(marked, 2):
+        if pp == qp:
             return f"marked points {p!r} and {q!r} coincide"
-    for triple in itertools.combinations(mk, 3):
-        collinear = _det3(*(points[t] for t in triple)) == 0
-        if collinear != (triple in declared):
-            names = ", ".join(map(repr, triple))
-            return (f"marked points {names} are collinear but no line of the script holds them"
-                    if collinear else f"marked points {names} are declared collinear but are not")
+    # the triples in combinations order, each as the dot product of its
+    # third point with the cross product of its first two, shared by all
+    # the triples that begin with that pair
+    for i, (p, pp) in enumerate(marked):
+        for j in range(i + 1, len(marked)):
+            q, qp = marked[j]
+            x, y, z = _cross(pp, qp)
+            for r, (u, v, w) in marked[j + 1:]:
+                collinear = x * u + y * v + z * w == 0
+                if collinear != ((p, q, r) in declared):
+                    names = f"{p!r}, {q!r}, {r!r}"
+                    return (f"marked points {names} are collinear but no line of the script "
+                            "holds them" if collinear
+                            else f"marked points {names} are declared collinear but are not")
     return None
 
 
@@ -283,12 +285,16 @@ def _residue_rows(point: Triple, mult: int, degree: int, monomials) -> tuple[int
     The order-(u, v, w) partial of x^a y^b z^c at the point is the product
     of perm(a, u) x^(a-u), perm(b, v) y^(b-v) and perm(c, w) z^(c-w); each
     factor is tabulated mod PRIME once per coordinate and order (the
-    order-0 table is the powers themselves).  A row is shifted in from its
-    last column to its first, each slot a residue below PRIME.
+    order-0 table is the powers themselves, each the previous one times
+    t mod PRIME).  A row is shifted in from its last column to its first,
+    each slot the product of three table entries reduced once, a residue
+    below PRIME.
     """
     tables = []
     for t in point:
-        powers = [pow(t, e, PRIME) for e in range(degree + 1)]
+        t, powers = t % PRIME, [1]
+        for _ in range(degree):
+            powers.append(powers[-1] * t % PRIME)
         tables.append([powers] + [[perm(a, u) * powers[a - u] % PRIME if a >= u else 0
                                    for a in range(degree + 1)] for u in range(1, mult)])
     xs, ys, zs = tables
@@ -297,7 +303,7 @@ def _residue_rows(point: Triple, mult: int, degree: int, monomials) -> tuple[int
     for u, v, w in _monomial_exponents(mult - 1):
         x, y, z, row = xs[u], ys[v], zs[w], 0
         for a, b, c in columns:
-            row = row << width | x[a] * y[b] % PRIME * z[c] % PRIME
+            row = row << width | x[a] * y[b] * z[c] % PRIME
         rows.append(row)
     return tuple(rows)
 

@@ -115,8 +115,21 @@ class BlowupSurface:
         return self._realizations[seed]
 
     def h0(self, d: DivisorClass) -> int:
-        """Consensus h^0 of an integral class (negative multiplicities are
-        relaxed to no condition)."""
+        """h^0 of an integral class (negative multiplicities are relaxed to
+        no condition): 0 when the first seed of the policy gives 0, else the
+        consensus of all its seeds.
+
+        A 0 at one realization is a proof, by two facts.  The rank mod
+        PRIME of the interpolation matrix is at most its rank over Q, and
+        the oracle returns it only when it is full (exact elimination
+        decides otherwise), so the oracle's 0 is exact at that realization.
+        And h^0 is upper semicontinuous on the script's family of
+        realizations (Hartshorne III.12.8), which the drawn coordinates
+        parametrize by an open set of an affine space, so the family is
+        irreducible and its generic h^0 is at most the 0 of any member.  A
+        positive value may still be that of a special draw, and needs the
+        other seeds to agree.
+        """
         if d.lattice != self.lattice:
             raise SurfaceError("class does not live on this surface")
         if not d.is_integral:
@@ -125,10 +138,12 @@ class BlowupSurface:
         if vec not in self._h0_cache:
             degree = vec[0]
             mults = {point: -m for (point, _symbol), m in zip(self.blowups, vec[1:])}
-            values = {
-                seed: oracle.h0_from_realization(self.realization(seed), degree, mults)
-                for seed in self.seed_policy.seeds()
-            }
+            first, *others = self.seed_policy.seeds()
+            values = {first: oracle.h0_from_realization(self.realization(first), degree, mults)}
+            if values[first]:
+                values.update(
+                    (seed, oracle.h0_from_realization(self.realization(seed), degree, mults))
+                    for seed in others)
             self._h0_cache[vec] = oracle.h0_consensus(values)
         return self._h0_cache[vec]
 

@@ -1,6 +1,7 @@
 """Rank and determinant against a plain Fraction Gauss-Jordan reference."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,7 +173,10 @@ def test_fold_reduces_every_slot_exactly():
 
 
 def test_one_fold_fewer_leaves_the_widest_slot_unreduced(monkeypatch):
+    # the masks are memoized per column count: a fresh memo builds them with
+    # the mutant's fold count, and the shared one never holds them
     folds = exactla._folds
+    monkeypatch.setattr(exactla, "_fold_masks", cache(exactla._fold_masks.__wrapped__))
     monkeypatch.setattr(exactla, "_folds", lambda width: folds(width) - 1)
     for ncols in FOLD_NCOLS:
         widest = (1 << slot_width(ncols)) - 1

@@ -86,3 +86,18 @@ def test_report_bytes(argv, tmp_path, capsysbinary):
     text, json_report = GOLDEN[argv]
     assert _digest(capsysbinary.readouterr().out) == text
     assert _digest(report.read_bytes()) == json_report
+
+
+# the README's h^0 example: (sha256, bytes) of what it prints and of the
+# realizations its --audit writes, which pin the draws the oracle accepts
+H0_CLASS = '{"L": 2, "Q": -1, "Q1": -1, "Q2": -1, "Q3": -1}'
+H0_GOLDEN = (
+    ("53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3", 2),
+    ("7676cc5abd2c3bfd324cc610f5ae69d5a9560f697979616289e29f5849c40914", 2914))
+
+
+def test_h0_audit_bytes(tmp_path, capsysbinary):
+    audit = tmp_path / "audit.json"
+    argv = ["h0", str(FIXTURES / "inoue_z2z4.json"), "Y", H0_CLASS, "--audit", str(audit)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert (_digest(capsysbinary.readouterr().out), _digest(audit.read_bytes())) == H0_GOLDEN

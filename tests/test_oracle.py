@@ -2,12 +2,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from scw import oracle
 from scw.oracle import (FreeLine, FreePoint, IntersectionPoint, LineThrough,
                         PointOnLine, RealizationError, ScriptError, SeedPolicy,
                         check_script, h0_from_realization,
                         realize_configuration)
 from scw.surface import BlowupSurface
+
+
+def det3(p, q, s):
+    return (p[0] * (q[1] * s[2] - q[2] * s[1])
+            - p[1] * (q[0] * s[2] - q[2] * s[0])
+            + p[2] * (q[0] * s[1] - q[1] * s[0]))
 
 
 def test_figure_scripts_echo_incidences(surface_w, surface_y):
@@ -39,15 +47,107 @@ def test_undeclared_collinearity_rejected(surface_y):
     marked = list(surface_y.point_of_symbol.values())
     declared = {frozenset(surface_y.point_of_symbol[s] for s in grp)
                 for grp in surface_y.collinear_sets}
-
-    def det3(p, q, s):
-        return (p[0] * (q[1] * s[2] - q[2] * s[1])
-                - p[1] * (q[0] * s[2] - q[2] * s[0])
-                + p[2] * (q[0] * s[1] - q[1] * s[0]))
-
     for triple in itertools.combinations(marked, 3):
         pts = [r.points[t] for t in triple]
         assert (det3(*pts) == 0) == (frozenset(triple) in declared)
+
+
+def reference_rejection(points, lines, incidence, mk, declared):
+    """`oracle._rejection` with a determinant of its three points per triple."""
+    for ln, pts in incidence.items():
+        off = [p for p in pts if sum(a * b for a, b in zip(points[p], lines[ln])) != 0]
+        if off:
+            return f"point {min(off)!r} is off line {ln!r}"
+    for p, q in itertools.combinations(mk, 2):
+        if points[p] == points[q]:
+            return f"marked points {p!r} and {q!r} coincide"
+    for triple in itertools.combinations(mk, 3):
+        collinear = det3(*(points[t] for t in triple)) == 0
+        if collinear != (triple in declared):
+            names = ", ".join(map(repr, triple))
+            return (f"marked points {names} are collinear but no line of the script holds them"
+                    if collinear else f"marked points {names} are declared collinear but are not")
+    return None
+
+
+def _rejections(points, lines, incidence, mk, declared):
+    return (oracle._rejection(points, lines, incidence, mk, declared),
+            reference_rejection(points, lines, incidence, mk, declared))
+
+
+def test_rejection_names_each_fault():
+    # a, b and c on the line y = 0, d off it
+    points = {"a": (0, 0, 1), "b": (1, 0, 1), "c": (2, 0, 1), "d": (0, 1, 1)}
+    mk, y0 = sorted(points), {"l": (0, 1, 0)}
+    abc = {("a", "b", "c")}
+    cases = [
+        (points, y0, {"l": {"a", "b", "c", "d"}}, abc, "point 'd' is off line 'l'"),
+        ({**points, "d": (1, 0, 1)}, y0, {"l": {"a", "b", "c"}}, abc,
+         "marked points 'b' and 'd' coincide"),
+        (points, {}, {}, set(),
+         "marked points 'a', 'b', 'c' are collinear but no line of the script holds them"),
+        (points, {}, {}, abc | {("a", "c", "d")},
+         "marked points 'a', 'c', 'd' are declared collinear but are not"),
+        (points, y0, {"l": {"a", "b", "c"}}, abc, None),
+    ]
+    for draw, lines, incidence, declared, reason in cases:
+        assert _rejections(draw, lines, incidence, mk, declared) == (reason, reason)
+
+
+SMALL_POINTS = st.sampled_from([v for v in itertools.product(range(-1, 2), repeat=3) if any(v)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_rejection_matches_the_determinant_reference(data):
+    # coordinates in [-1, 1], so coincident and collinear points are common;
+    # the incidences and declared triples are the true ones, up to a flip
+    # of a point or triple, any or a collinear one
+    unique = data.draw(st.booleans())
+    drawn = data.draw(st.lists(SMALL_POINTS, min_size=1, max_size=7, unique=unique))
+    points = {f"p{i}": v for i, v in enumerate(drawn)}
+    names = list(points)
+    lines = {f"l{i}": data.draw(SMALL_POINTS) for i in range(data.draw(st.integers(0, 2)))}
+    incidence = {
+        ln: {p for p in names if sum(a * b for a, b in zip(points[p], line)) == 0}
+        ^ set(data.draw(st.lists(st.sampled_from(names), max_size=1)))
+        for ln, line in lines.items()}
+    mk = sorted(data.draw(st.sets(st.sampled_from(names))))
+    triples = list(itertools.combinations(mk, 3))
+    collinear = [t for t in triples if det3(*(points[p] for p in t)) == 0]
+    declared = set(collinear)
+    for pool in (triples, collinear):
+        if pool:
+            declared ^= set(data.draw(st.lists(st.sampled_from(pool), max_size=1)))
+    got, want = _rejections(points, lines, incidence, mk, declared)
+    assert got == want
+
+
+PAPPUS = ([FreeLine("l"), FreeLine("m")]
+          + [PointOnLine(p, "l") for p in "ABC"] + [PointOnLine(p, "m") for p in "abc"]
+          + [LineThrough(p + q, p, q) for p, q in ("Ab", "aB", "Ac", "aC", "Bc", "bC")]
+          + [IntersectionPoint("x", "Ab", "aB"), IntersectionPoint("y", "Ac", "aC"),
+             IntersectionPoint("z", "Bc", "bC")])
+
+
+def test_rejection_matches_the_determinant_reference_on_draws(surface_w, surface_y):
+    scripts = [([FreePoint(f"p{i}") for i in range(9)], None),
+               (surface_w.script, surface_w.point_of_symbol.values()),
+               (surface_y.script, surface_y.point_of_symbol.values()),
+               (PAPPUS, None), (PAPPUS, "ABCabc")]
+    reasons = set()
+    for script, marked in scripts:
+        names, _lines, incidence = check_script(script)
+        mk = sorted(marked or names)
+        declared = {t for pts in incidence.values()
+                    for t in itertools.combinations(sorted(pts & set(mk)), 3)}
+        for attempt in range(20):
+            points, lines = oracle._draw(script, random.Random(f"draw:{attempt}"))
+            got, want = _rejections(points, lines, incidence, mk, declared)
+            assert got == want
+            reasons.add(got)
+    assert reasons == {None, "marked points 'x', 'y', 'z' are collinear but no line "
+                             "of the script holds them"}
 
 
 def test_contradictory_script_exhausts_retries():
@@ -65,11 +165,7 @@ def test_contradictory_script_exhausts_retries():
 def test_forced_collinearity_is_named():
     # Pappus: the diagonal points x, y, z of a hexagon inscribed in two lines
     # are always collinear, and the script declares no line through them
-    script = [FreeLine("l"), FreeLine("m")]
-    script += [PointOnLine(p, "l") for p in "ABC"] + [PointOnLine(p, "m") for p in "abc"]
-    script += [LineThrough(p + q, p, q) for p, q in ("Ab", "aB", "Ac", "aC", "Bc", "bC")]
-    script += [IntersectionPoint("x", "Ab", "aB"), IntersectionPoint("y", "Ac", "aC"),
-               IntersectionPoint("z", "Bc", "bC")]
+    script = PAPPUS
     with pytest.raises(RealizationError, match="in every draw, marked points 'x', 'y', 'z' "
                                                "are collinear but no line of the script"):
         realize_configuration(script, 0)

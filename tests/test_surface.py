@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from scw import oracle
 from scw.lattice import DivisorClass, LatticeMismatch, format_class
-from scw.oracle import FreePoint, LineThrough, PointOnLine
+from scw.oracle import FreePoint, LineThrough, PointOnLine, SeedDisagreement, SeedPolicy
 from scw.surface import (KIND_MINUS_ONE, KIND_MINUS_TWO, KIND_OTHER, CurveRecord,
                          Pencil, SurfaceError, _candidate_multiplicity_vectors,
                          _candidate_vectors, _candidates, _class_of, build_surface, catalog_negative_curves, contract,
@@ -349,8 +349,10 @@ def test_catalog_scans_only_candidates_with_one_section(monkeypatch):
     monkeypatch.setattr(surface, "h0", recorded_h0)
     monkeypatch.setattr(DivisorClass, "dot", recorded_dot)
     catalog_negative_curves(surface, 2)
-    # 56 + 28 lines and 28 + 56 conics, each at the 3 seeds of the consensus
-    assert len(h0_calls) == 504
+    # the 28 lines through two points and 56 conics through five have one
+    # section, each at the 3 seeds of the consensus; the 56 lines through
+    # three and 28 conics through six have none, proven at the first seed
+    assert len(h0_calls) == 3 * (28 + 56) + (56 + 28) == 336
     last_h0 = None
     for event in events:
         if event[0] == "h0":
@@ -516,3 +518,48 @@ def test_isolated_minus_one_on_fresh_seed_policy(surface_w):
     # the flag computation is intersection-theoretic, not oracle-dependent
     gammas = isolated_minus_one_curves(surface_w)
     assert all(r.kind == KIND_MINUS_ONE for r in gammas)
+
+
+# -- the zero certificate of h^0 ---------------------------------------------
+
+
+def _h0_with_oracle_values(monkeypatch, values):
+    """h^0 of L - E on a one-point surface whose oracle gives values[i] at
+    the i-th seed of the policy; also the seeds the oracle was called at."""
+    surface = build_surface([FreePoint("a")], [("a", "E")], seed_policy=SeedPolicy(base=5))
+    seeds = []
+
+    def oracle_value(realization, degree, mults):
+        seeds.append(realization.seed)
+        return values[realization.seed - 5]
+
+    monkeypatch.setattr(oracle, "h0_from_realization", oracle_value)
+    return surface.h0(cls_of(surface, {"L": 1, "E": -1})), seeds
+
+
+def test_h0_zero_at_the_first_seed_draws_no_other(monkeypatch):
+    assert _h0_with_oracle_values(monkeypatch, (0, 1, 1)) == (0, [5])
+
+
+def test_h0_positive_at_the_first_seed_takes_the_consensus(monkeypatch):
+    assert _h0_with_oracle_values(monkeypatch, (1, 1, 1)) == (1, [5, 6, 7])
+
+
+def test_h0_positive_values_that_disagree_are_refused(monkeypatch):
+    with pytest.raises(SeedDisagreement):
+        _h0_with_oracle_values(monkeypatch, (1, 2, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(-1, 5), st.data())
+def test_h0_is_the_consensus_of_its_seeds(surface_w, surface_y, which, degree, data):
+    base = (_general_surface(8), surface_w, surface_y, _collinear_surface())[which]
+    surface = build_surface(base.script, base.blowups)  # no h^0 cached yet
+    names = surface.lattice.exceptional_names
+    coeffs = data.draw(st.lists(st.integers(-3, 1), min_size=len(names), max_size=len(names)))
+    vec = (degree, *coeffs)
+    mults = {point: -m for (point, _symbol), m in zip(surface.blowups, coeffs)}
+    consensus = oracle.h0_consensus({
+        seed: oracle.h0_from_realization(surface.realization(seed), degree, mults)
+        for seed in surface.seed_policy.seeds()})
+    assert surface.h0(_class_of(surface, vec)) == consensus
