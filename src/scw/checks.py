@@ -2,14 +2,15 @@
 
 Each check is a JSON object with a unique `name`, a `kind` selecting the
 handler, an optional `suite` and citation `tag`, and the fields of its kind:
-the handler's parameters after `wb`, required unless they have a default
-(`class_` reads the field `class`).  The annotation of a parameter is the
+the handler's parameters, required unless they have a default (`class_`
+reads the field `class`).  The annotation of a parameter is the
 reader of its field, one of the readers below, which raise `SpecError`
 naming the field.  `bind_checks` runs every reader on every entry when the
 file is parsed, so an input error names `checks[i].<path>` before any check
-runs; the handlers get the values read, compute exact values and compare
-them with the claims, returning a list of `Check`.  `run_check` makes the
-harness decisions once for every handler; see there.
+runs; the handlers get the values read and the entry's `surface` and `cover`
+as the file built them, compute exact values and compare them with the
+claims, returning a list of `Check`.  `run_check` makes the harness
+decisions once for every handler; see there.
 """
 
 from __future__ import annotations
@@ -153,6 +154,13 @@ def _ints(values, where: str, scope=None) -> tuple[int, ...]:
     return tuple(_int_list(values, where))
 
 
+def _triple(values, where: str, scope=None) -> tuple[int, int, int]:
+    triple = _ints(values, where)
+    if len(triple) != 3:
+        raise SpecError(f"{where}: expected 3 integers, got {values!r}")
+    return triple
+
+
 def _ints_or_null(values, where: str, scope=None):
     return None if values is None else _ints(values, where)
 
@@ -272,35 +280,35 @@ def _formatted(classes) -> list[str]:
 # handlers: lattice suite
 
 
-def check_intersect(wb, name, surface, lhs: _class, rhs: _class, expected: _rat):
+def check_intersect(name, surface, lhs: _class, rhs: _class, expected: _rat):
     return [equality_check(name, lhs.dot(rhs), expected)]
 
 
-def check_abstract_self_intersection(wb, name, basis: _strs, gram: _gram, class_: _class,
+def check_abstract_self_intersection(name, basis: _strs, gram: _gram, class_: _class,
                                      expected: _rat, divide: _nonzero_rat = 1):
     return [equality_check(name, class_.dot(class_) / divide, expected)]
 
 
-def check_abstract_adjunction_genus(wb, name, basis: _strs, gram: _gram, class_: _class,
+def check_abstract_adjunction_genus(name, basis: _strs, gram: _gram, class_: _class,
                                     k_class: _class, expected: _rat):
     return [equality_check(name, adjunction_genus(class_, k_class), expected)]
 
 
-def check_gram_det(wb, name, matrix: _matrix, expected: _rat):
+def check_gram_det(name, matrix: _matrix, expected: _rat):
     return [equality_check(name, gram_det(matrix), expected)]
 
 
-def check_blowup_basis_det(wb, name, surface):
+def check_blowup_basis_det(name, surface):
     classes = [surface.lattice.divisor({sym: 1}) for sym in surface.lattice.names]
     expected = Fraction((-1) ** len(surface.lattice.exceptional_names))
     return [equality_check(name, gram_det(classes), expected)]
 
 
-def check_adjunction_genus(wb, name, surface, class_: _class, expected: _rat):
+def check_adjunction_genus(name, surface, class_: _class, expected: _rat):
     return [equality_check(name, adjunction_genus(class_, surface.canonical), expected)]
 
 
-def check_solve_divide(wb, name, surface, class_: _class, n: _positive, expected_class: _class):
+def check_solve_divide(name, surface, class_: _class, n: _positive, expected_class: _class):
     got = solve_divide(class_, n)
     return [equality_check(name, format_class(got), format_class(expected_class))]
 
@@ -311,7 +319,7 @@ def _hodge_claim(value, where: str, scope):
 
 
 # keyword-only, so that d2 is read before the claim whose reader it selects
-def check_hodge_bound(wb, name, k2: _positive_rat, kd: _rat, *, d2: _rat = None,
+def check_hodge_bound(name, k2: _positive_rat, kd: _rat, *, d2: _rat = None,
                       expected: _hodge_claim):
     if d2 is not None:
         return [equality_check(name, hodge_index_bound(k2, kd, d2), expected)]
@@ -323,34 +331,34 @@ def check_hodge_bound(wb, name, k2: _positive_rat, kd: _rat, *, d2: _rat = None,
 # handlers: surface suite
 
 
-def check_collinear_sets(wb, name, surface, expected: _list_of(_strs, "lists of strings")):
+def check_collinear_sets(name, surface, expected: _list_of(_strs, "lists of strings")):
     got = sorted(sorted(group) for group in surface.collinear_sets)
     return [equality_check(name, got, sorted(sorted(group) for group in expected))]
 
 
-def check_minus_two_catalog(wb, name, surface, expected_classes: _classes):
+def check_minus_two_catalog(name, surface, expected_classes: _classes):
     got = _formatted(r.cls for r in surface_mod.minus_two_curves(surface))
     return [equality_check(name, got, _formatted(expected_classes))]
 
 
-def check_isolated_minus_one(wb, name, surface, expected_classes: _classes):
+def check_isolated_minus_one(name, surface, expected_classes: _classes):
     got = _formatted(r.cls for r in surface_mod.isolated_minus_one_curves(surface))
     return [equality_check(name, got, _formatted(expected_classes))]
 
 
-def check_catalog_counts(wb, name, surface, expected_minus_one: _int, expected_minus_two: _int):
+def check_catalog_counts(name, surface, expected_minus_one: _int, expected_minus_two: _int):
     got = (len(surface_mod.minus_one_curves(surface)), len(surface_mod.minus_two_curves(surface)))
     return [equality_check(name, got, (expected_minus_one, expected_minus_two))]
 
 
-def check_pencils_include(wb, name, surface, classes: _classes):
+def check_pencils_include(name, surface, classes: _classes):
     found = {pen.cls.coeffs for pen in surface_mod.find_pencils(surface)}
     missing = [format_class(cls) for cls in classes if cls.coeffs not in found]
     return [Check(name, FAIL if missing else PASS,
                   f"missing {missing}" if missing else "all present", "pencil classes present")]
 
 
-def check_singular_members(wb, name, surface, pencil: _class, expected: _list_of(_list_of(
+def check_singular_members(name, surface, pencil: _class, expected: _list_of(_list_of(
         _object({"class": _class, "multiplicity": _int}), "parts"), "decompositions")):
     members = surface_mod.singular_members(surface, surface_mod.Pencil(pencil))
     got = sorted(tuple(sorted((format_class(rec.cls), mult) for rec, mult in d)) for d in members)
@@ -359,7 +367,7 @@ def check_singular_members(wb, name, surface, pencil: _class, expected: _list_of
     return [equality_check(name, got, expected)]
 
 
-def check_contract(wb, name, surface, classes: _classes, expected_nodes: _int,
+def check_contract(name, surface, classes: _classes, expected_nodes: _int,
                    expected_k2_after: _rat_text, expected_disjoint_remainder: _classes = None):
     by_class = surface.catalog_by_class()
     recs = []
@@ -384,11 +392,11 @@ def check_contract(wb, name, surface, classes: _classes, expected_nodes: _int,
 # handlers: cover suite
 
 
-def check_cover_relations(wb, name, cover):
-    return list(wb.validation(cover.name))
+def check_cover_relations(name, cover):
+    return list(cover.validation)
 
 
-def check_relation_sum(wb, name, cover, character: _group_element, expected_class: _class):
+def check_relation_sum(name, cover, character: _group_element, expected_class: _class):
     m = cover.group.element_order(character)
     rhs = cover_mod.relation_rhs(cover, character)
     out = [equality_check(f"{name}/sum", format_class(rhs), format_class(expected_class))]
@@ -405,7 +413,7 @@ def _subtrahends(names, where: str, scope) -> list:
     return _components(names, where, scope)
 
 
-def check_derived_class(wb, name, cover, character: _group_element, expected_class: _class = None,
+def check_derived_class(name, cover, character: _group_element, expected_class: _class = None,
                         minuend: _object({"character": _group_element, "multiple": _int}) = None,
                         subtract_components: _subtrahends = ()):
     derived = cover.all_l
@@ -422,7 +430,7 @@ def check_derived_class(wb, name, cover, character: _group_element, expected_cla
     return checks
 
 
-def check_solve_matches_derived(wb, name, cover):
+def check_solve_matches_derived(name, cover):
     solution = solve_linear(cover_mod.building_data_relations(cover))
     unknowns = {cover_mod.character_unknown_name(chi): cls for chi, cls in cover.all_l.items()
                 if chi != cover.group.identity()}
@@ -434,7 +442,7 @@ def check_solve_matches_derived(wb, name, cover):
                   expected="solver agrees with the pair-rule derivation")]
 
 
-def check_branch_points(wb, name, cover, expected_nodes: _list_of(_object(
+def check_branch_points(name, cover, expected_nodes: _list_of(_object(
         {"pair": _strs, "points": _int, "preimages": _int, "inertia_order": _int}), "nodes"),
                         expected_total_nodes: _int):
     expected_nodes = sorted((tuple(sorted(n["pair"])), n["points"], n["preimages"],
@@ -450,7 +458,7 @@ def check_branch_points(wb, name, cover, expected_nodes: _list_of(_object(
             equality_check(f"{name}/total-nodes", total, expected_total_nodes)]
 
 
-def check_pullback(wb, name, cover, component: _component,
+def check_pullback(name, cover, component: _component,
                    expected: _object({"e": _int, "n": _int, "d": _int, "s": _rat_text})):
     pb = cover_mod.pullback(cover, component)
     got = (pb.ramification_multiplicity, pb.components, pb.map_degree, str(pb.self_intersection))
@@ -465,7 +473,7 @@ def _preimage_components(value, where: str, scope):
     return _components(value, where, scope)
 
 
-def check_preimage_consistency(wb, name, cover, components: _preimage_components = "all"):
+def check_preimage_consistency(name, cover, components: _preimage_components = "all"):
     out = []
     for comp in cover.branch if components == "all" else components:
         if comp.curve.is_zero:
@@ -480,7 +488,7 @@ def check_preimage_consistency(wb, name, cover, components: _preimage_components
     return out
 
 
-def check_canonical_cover(wb, name, cover, n: _positive, expected_k2: _rat,
+def check_canonical_cover(name, cover, n: _positive, expected_k2: _rat,
                           expected_class: _class = None):
     cls, k2 = cover_mod.canonical_cover(cover, n)
     checks = [equality_check(f"{name}/k2", k2, expected_k2)]
@@ -490,18 +498,18 @@ def check_canonical_cover(wb, name, cover, n: _positive, expected_k2: _rat,
     return checks
 
 
-def check_invariants(wb, name, cover, expected: _object(
+def check_invariants(name, cover, expected: _object(
         {"chi": _int, "p_g": _int, "q": _int, "k2_cover": _rat_text}, optional=("k2_cover",))):
     inv = cover.invariants
     got = {"chi": inv.chi, "p_g": inv.p_g, "q": inv.q, "k2_cover": str(inv.k2_cover)}
     return [equality_check(name, {key: got[key] for key in expected}, expected)]
 
 
-def check_h0_vanishing(wb, name, cover):
+def check_h0_vanishing(name, cover):
     return cover_mod.h0_vanishing_checks(cover)
 
 
-def check_quotient_cover(wb, name, cover, character: _group_element, expected_branch: _strs,
+def check_quotient_cover(name, cover, character: _group_element, expected_branch: _strs,
                          expected_k2: _rat):
     quotient = cover_mod.quotient_cover(cover, character)
     got_branch = sorted(c.name for c in quotient.branch)
@@ -510,7 +518,7 @@ def check_quotient_cover(wb, name, cover, character: _group_element, expected_br
             equality_check(f"{name}/k2", k2, expected_k2)]
 
 
-def check_minimal_model(wb, name, cover, simple: _int, node_threading: _int,
+def check_minimal_model(name, cover, simple: _int, node_threading: _int,
                         contract: _components, expected_k2: _rat, expect_ample: _bool = None):
     # expect_ample is a claim either way, true or false; absent, no claim
     plan = cover_mod.ContractionPlan(simple, node_threading, tuple(c.name for c in contract))
@@ -525,28 +533,28 @@ def check_minimal_model(wb, name, cover, simple: _int, node_threading: _int,
 # handlers: lefschetz suite
 
 
-def check_involution_counts(wb, name, kr: _int, r2: _int, expected: _ints):
+def check_involution_counts(name, kr: _int, r2: _int, expected: _ints):
     return [equality_check(name, lef.involution_counts(kr, r2), expected)]
 
 
-def check_order3_counts(wb, name, kr: _int, r2: _int, tr: _int, expected: _ints_or_null):
+def check_order3_counts(name, kr: _int, r2: _int, tr: _int, expected: _ints_or_null):
     return [equality_check(name, lef.order3_counts(kr, r2, tr), expected)]
 
 
-def check_range_filter(wb, name, k2: _positive, expected: _int_list, r2: _int = None,
+def check_range_filter(name, k2: _positive, expected: _int_list, r2: _int = None,
                        exclude: _ints = ()):
     return [equality_check(name, lef.involution_range_filter(k2, r2=r2, exclude=exclude),
                            expected)]
 
 
-def check_diophantine(wb, name, constraint: _one_of(lef.NAMED_CONSTRAINTS),
+def check_diophantine(name, constraint: _one_of(lef.NAMED_CONSTRAINTS),
                       expected: _list_of(_ints, "solutions"), box: _box = None,
                       target: _ints = None):
     got = lef.diophantine_enumerate(constraint, box=box, target=target)
     return [equality_check(name, sorted(got), sorted(expected))]
 
 
-def check_det_identity(wb, name, a_min: _int, a_max: _int, b_min: _int, b_max: _int):
+def check_det_identity(name, a_min: _int, a_max: _int, b_min: _int, b_max: _int):
     """Pointwise agreement of the 3x3 intersection determinant with the
     closed form that the "ample-obstruction-det" enumeration solves, and
     emptiness of the admissible locus."""
@@ -560,24 +568,25 @@ def check_det_identity(wb, name, a_min: _int, a_max: _int, b_min: _int, b_max: _
             equality_check(f"{name}/no-admissible-zero", solutions, [])]
 
 
-def check_theorem11(wb, name, case: _one_of(lef.CASE_TABLE)):
-    return [replace(c, name=f"{name}/{c.name}") for c in lef.theorem11_consistency(case)]
+def check_theorem11(name, case: _str, expected_kr: _triple, expected_rr: _triple):
+    checks = lef.theorem11_consistency(case, expected_kr, expected_rr)
+    return [replace(c, name=f"{name}/{c.name}") for c in checks]
 
 
 # `orders` is read as the group with those cyclic factors
-def check_subgroups(wb, name, orders: _orders, n: _subgroup_order, expected_count: _int,
+def check_subgroups(name, orders: _orders, n: _subgroup_order, expected_count: _int,
                     elementary_only: _bool = False):
     subs = groups_mod.subgroups_of_order(orders, n, elementary_only=elementary_only)
     return [equality_check(name, len(subs), expected_count)]
 
 
-def check_common_involution(wb, name, orders: _orders, n: _subgroup_order, expected: _bool):
+def check_common_involution(name, orders: _orders, n: _subgroup_order, expected: _bool):
     got = groups_mod.pairwise_common_involution(orders, groups_mod.subgroups_of_order(orders, n))
     return [equality_check(name, got, expected)]
 
 
 # `exponent` is read as the CyclicPair of `generator` with that character exponent
-def check_restriction_level(wb, name, orders: _orders, generator: _group_element,
+def check_restriction_level(name, orders: _orders, generator: _group_element,
                             exponent: _pair_exponent, character: _group_element, expected: _int):
     return [equality_check(name, groups_mod.restriction_level(exponent, character), expected)]
 
@@ -585,8 +594,8 @@ def check_restriction_level(wb, name, orders: _orders, generator: _group_element
 # kind -> handler: the `check_<kind>` functions above, the one declaration of each kind
 HANDLERS = {name.removeprefix("check_"): fn for name, fn in list(globals().items())
             if name.startswith("check_")}
-# kind -> the parameters of its handler after `wb`, their annotations evaluated
-_PARAMS = {kind: list(inspect.signature(fn, eval_str=True).parameters.values())[1:]
+# kind -> the parameters of its handler, their annotations evaluated
+_PARAMS = {kind: list(inspect.signature(fn, eval_str=True).parameters.values())
            for kind, fn in HANDLERS.items()}
 # kind -> its required and its optional fields: optional when the parameter has a default
 FIELDS = {kind: (tuple(p.name.rstrip("_") for p in params if p.default is p.empty),
@@ -620,7 +629,7 @@ class Entry:
     kind: str
     suite: str
     tag: str | None
-    # the handler's keyword arguments: the values read, and `surface` and `cover` ids
+    # the handler's keyword arguments: the values read, and the built `surface` and `cover`
     args: dict
 
 
@@ -657,31 +666,24 @@ def bind_checks(entries, surfaces: dict, covers: dict) -> tuple[Entry, ...]:
             field = param.rstrip("_")
             if field in raw:
                 scope[param] = read(raw[field], f"{where}.{field}", scope)
-        ids = {field: raw[field] for field in ("surface", "cover") if field in raw}
-        bound.append(Entry(raw["name"], kind, raw.get("suite", "all"), raw.get("tag"),
-                           {**scope, **ids}))
+        bound.append(Entry(raw["name"], kind, raw.get("suite", "all"), raw.get("tag"), scope))
     return tuple(bound)
 
 
-def run_check(wb, entry: Entry) -> list[Check]:
+def run_check(entry: Entry) -> list[Check]:
     """The checks of one entry that `bind_checks` read, with the harness
-    decisions made here once for every handler: the handler gets the values
-    read, its `surface` and `cover` ids resolved to the objects built at the
-    workbench's seed; a kind in NEEDS_VALID_COVER reports `unsupported` when
-    its cover failed validation; an exception in REFUTATIONS becomes a
+    decisions made here once for every handler: the handler gets the
+    entry's arguments; a kind in NEEDS_VALID_COVER reports `unsupported`
+    when its cover failed validation; an exception in REFUTATIONS becomes a
     failing check, and any other one an `unsupported` check naming it; an
     entry that yields no check is an input error; and the entry's `tag`,
     when it has one, replaces the tags of all its checks."""
-    args = dict(entry.args)
     try:
-        if entry.kind in NEEDS_VALID_COVER and not wb.cover_valid(args["cover"]):
+        if entry.kind in NEEDS_VALID_COVER and not entry.args["cover"].valid:
             checks = [Check(entry.name, UNSUPPORTED, "cover data failed validation",
                             "valid cover data")]
         else:
-            for field, build in (("surface", wb.surface), ("cover", wb.cover)):
-                if field in args:
-                    args[field] = build(args[field])
-            checks = HANDLERS[entry.kind](wb, entry.name, **args)
+            checks = HANDLERS[entry.kind](entry.name, **entry.args)
     except Exception as exc:  # a check must never crash the harness
         status = FAIL if isinstance(exc, REFUTATIONS) else UNSUPPORTED
         checks = [Check(entry.name, status, f"{type(exc).__name__}: {exc}",

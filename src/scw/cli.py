@@ -50,8 +50,8 @@ def _emit(report: VerificationReport, report_path: str | None) -> int:
 
 
 def _cmd_verify(args) -> int:
-    wf = workbench.parse_spec(args.file)
-    report = workbench.run_suite(wf, suite=args.suite, seed=args.seed)
+    wf = workbench.parse_spec(args.file, seed=args.seed)
+    report = workbench.run_suite(wf, suite=args.suite)
     return _emit(report, args.report)
 
 
@@ -61,9 +61,9 @@ def _cmd_paper_suite(args) -> int:
 
 
 def _cmd_h0(args) -> int:
-    wf = workbench.parse_spec(args.file)
-    wb = workbench.Workbench(wf, seed=args.seed)
-    surface = wb.surface(args.surface_id)
+    surface = workbench.parse_spec(args.file, seed=args.seed).surfaces.get(args.surface_id)
+    if surface is None:
+        raise SpecError(f"unknown surface {args.surface_id!r}")
     try:
         mapping = json.loads(args.class_json)
     except json.JSONDecodeError as exc:

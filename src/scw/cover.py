@@ -65,7 +65,8 @@ class BranchComponent:
 class CoverSpec:
     """Building data of one cover.  Frozen, so the derived data cached on
     first use (pair_divisors, levels, all_l, branch_points, ramification,
-    invariants) can never go stale; a derivation that raises caches nothing."""
+    invariants, validation) can never go stale; a derivation that raises
+    caches nothing."""
 
     name: str
     group: FiniteAbelianGroup
@@ -107,6 +108,14 @@ class CoverSpec:
     @cached_property
     def invariants(self) -> CoverInvariants:
         return invariants(self)
+
+    @cached_property
+    def validation(self) -> tuple[Check, ...]:
+        return tuple(validate_cover_data(self))
+
+    @property
+    def valid(self) -> bool:
+        return all(c.status == "pass" for c in self.validation)
 
     def branch_by_name(self) -> dict[str, BranchComponent]:
         return {b.name: b for b in self.branch}

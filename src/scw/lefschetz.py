@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import gram_det
+from .lattice import gram_det, hodge_index_bound
 from .report import Check, equality_check
 
 K_ISOLATED_MAX = 11  # the isolated fixed-point count of an involution here is odd and <= 11
@@ -71,14 +71,14 @@ def order3_profile(kr: int, r2: int, tr: int) -> FixedPointProfile | None:
 def involution_range_filter(k2: int, r2: int | None = None, exclude=()) -> list[int]:
     """Admissible K.R values for an involution on a surface with the given
     K^2: K.R >= 1 with K.R + 4 odd and <= the isolated-point bound; the
-    optional R^2 applies the index-theorem filter (K.R)^2 >= K^2 * R^2."""
+    optional R^2 applies the index-theorem filter of `hodge_index_bound`."""
     if k2 <= 0:
         raise ValueError("requires K^2 > 0")
     out = []
     for kr in range(1, K_ISOLATED_MAX - 4 + 1):
         if (kr + 4) % 2 == 0:
             continue
-        if r2 is not None and r2 > 0 and kr * kr < k2 * r2:
+        if r2 is not None and not hodge_index_bound(k2, kr, r2):
             continue
         if kr in exclude:
             continue
@@ -129,16 +129,6 @@ def diophantine_enumerate(constraint: str, box=None, target=None) -> list[tuple[
     return out
 
 
-# Intersection numbers (K.R_1, K.R_2, K.R_3) and (R_1R_2, R_1R_3, R_2R_3)
-# of the three commuting-involution cases on K^2 = 7, to be consistency
-# checked, not derived.
-CASE_TABLE = {
-    "a": ((7, 5, 5), (5, 9, 7)),
-    "b": ((5, 5, 3), (7, 5, 1)),
-    "c": ((5, 3, 1), (1, 3, 1)),
-}
-
-
 def case_gram(k2: int, kr: tuple[int, int, int], rr: tuple[int, int, int]):
     """Gram matrix of (K, R_1, R_2, R_3) with R_i^2 = -1."""
     r12, r13, r23 = rr
@@ -150,8 +140,10 @@ def case_gram(k2: int, kr: tuple[int, int, int], rr: tuple[int, int, int]):
     ]
 
 
-def theorem11_consistency(case: str, kr=None, rr=None, k2: int = 7) -> list[Check]:
-    """Consistency checks for one commuting-involution case.
+def theorem11_consistency(case: str, kr, rr, k2: int = 7) -> list[Check]:
+    """Consistency checks for one commuting-involution case, labelled `case`,
+    with intersection numbers kr = (K.R_1, K.R_2, K.R_3) and
+    rr = (R_1R_2, R_1R_3, R_2R_3).
 
     Each K.R must lie in the admissible involution range, each profile has
     R^2 = -1 (so trace 3) with an odd isolated count <= 11, all pairwise
@@ -159,8 +151,6 @@ def theorem11_consistency(case: str, kr=None, rr=None, k2: int = 7) -> list[Chec
     must be linearly dependent in the rank-3 lattice, i.e. their Gram
     matrix is singular.
     """
-    if kr is None or rr is None:
-        kr, rr = CASE_TABLE[case]
     checks = []
     admissible = set(involution_range_filter(k2))
     for i, kri in enumerate(kr, start=1):

@@ -6,14 +6,13 @@ written as integers or "p/q" strings; divisor classes as symbol ->
 rational maps; characters and group elements as residue tuples, one per
 cyclic factor.  `_surface` and `_cover` read a surface and a cover into
 the `BlowupSurface` and `CoverSpec` the checks use, refusing bad data with
-a `SpecError` naming the field.  `parse_data` runs both on every entry and
-reads every field of every check entry (`checks.bind_checks`), so bad data
-fails before any check runs.  It keeps the values read and the JSON
-objects of the surfaces and covers, keys sorted at every level; a
-`Workbench` builds those again at its seed.  Reports are deterministic
-given (file, seed).  The bundled files are the two Inoue cover workbenches
-and `named.json`, the paper's numeric claims, which `run_named` selects by
-the first `/`-segment of their names.
+a `SpecError` naming the field.  `parse_data` builds every surface and cover
+once, at the run's seed, and reads every field of every check entry
+(`checks.bind_checks`), so bad data fails before any check runs; the file
+it returns holds the built objects and the values read.  Reports are
+deterministic given (file, seed).  The bundled files are the two Inoue
+cover workbenches and `named.json`, the paper's numeric claims, which
+`run_named` selects by the first `/`-segment of their names.
 """
 
 from __future__ import annotations
@@ -25,10 +24,12 @@ from pathlib import Path
 
 from .checks import (SUITES, Entry, SpecError, _element, _group, _int, _str, bind_checks,
                      _cyclic_pair, resolve_class, run_check)
-from .cover import BranchComponent, CoverDataError, CoverSpec, validate_cover_data
+# validate_cover_data has no caller here: test_wrappers_are_installed_at_every_alias_and_removed
+# in perfbench/test_perfbench.py lists this alias among those the tracer wraps
+from .cover import BranchComponent, CoverDataError, CoverSpec, validate_cover_data  # noqa: F401
 from .oracle import (FreeLine, FreePoint, IntersectionPoint, LineThrough, PointOnLine, ScriptError,
                      SeedPolicy)
-from .report import Check, VerificationReport
+from .report import VerificationReport
 from .surface import BlowupSurface, SurfaceError
 
 FORMAT_VERSION = 1
@@ -45,9 +46,11 @@ _STEP_KINDS = {
 @dataclass(frozen=True)
 class WorkbenchFile:
     version: int
-    # the JSON objects of the file's surfaces and covers, keys sorted at every level
-    surfaces: tuple[dict, ...]
-    covers: tuple[dict, ...]
+    # the seed at which the surfaces' realizations start
+    seed: int
+    # id -> the object built from the file's entry
+    surfaces: dict[str, BlowupSurface]
+    covers: dict[str, CoverSpec]
     checks: tuple[Entry, ...]
 
 
@@ -125,16 +128,15 @@ def _cover(raw: dict, where: str, surface_of) -> CoverSpec:
                      branch=tuple(branch), reduced_l=reduced)
 
 
-def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
+def parse_data(data: dict, where: str = "workbench", seed: int = 0) -> WorkbenchFile:
     if not isinstance(data, dict):
         raise SpecError(f"{where}: expected a JSON object")
     version = data.get("version")
     if version != FORMAT_VERSION:
         raise SpecError(f"{where}: unrecognized version {version!r}")
-    data = json.loads(json.dumps(data, sort_keys=True))
     surfaces: dict[str, BlowupSurface] = {}
     for w, raw in _objects(data.get("surfaces", []), f"{where}.surfaces"):
-        surface = _surface(raw, w, seed=0)
+        surface = _surface(raw, w, seed)
         if surface.name in surfaces:
             raise SpecError(f"{w}.id: duplicate surface id {surface.name!r}")
         surfaces[surface.name] = surface
@@ -145,11 +147,10 @@ def parse_data(data: dict, where: str = "workbench") -> WorkbenchFile:
             raise SpecError(f"{w}.id: duplicate cover id {cover.name!r}")
         covers[cover.name] = cover
     checks = bind_checks(_objects(data.get("checks", []), f"{where}.checks"), surfaces, covers)
-    return WorkbenchFile(version, tuple(data.get("surfaces", [])), tuple(data.get("covers", [])),
-                         checks)
+    return WorkbenchFile(version, seed, surfaces, covers, checks)
 
 
-def parse_spec(path) -> WorkbenchFile:
+def parse_spec(path, seed: int = 0) -> WorkbenchFile:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -157,78 +158,40 @@ def parse_spec(path) -> WorkbenchFile:
         raise SpecError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return parse_data(data, where=str(path))
+    return parse_data(data, where=str(path), seed=seed)
 
 
-def _entry(entries, kind: str, ident: str) -> tuple[dict, str]:
-    """The entry of a file with this id, and its field path."""
-    for i, raw in enumerate(entries):
-        if raw["id"] == ident:
-            return raw, f"{kind}s[{i}]"
-    raise SpecError(f"unknown {kind} {ident!r}")
-
-
-class Workbench:
-    """Built surfaces and covers for one file at one seed, with caching."""
-
-    def __init__(self, wf: WorkbenchFile, seed: int = 0):
-        self.file = wf
-        self.seed = seed
-        self._surfaces: dict[str, BlowupSurface] = {}
-        self._covers: dict[str, CoverSpec] = {}
-        self._validation: dict[str, list[Check]] = {}
-
-    def surface(self, sid: str) -> BlowupSurface:
-        if sid not in self._surfaces:
-            self._surfaces[sid] = _surface(*_entry(self.file.surfaces, "surface", sid), self.seed)
-        return self._surfaces[sid]
-
-    def cover(self, cid: str) -> CoverSpec:
-        if cid not in self._covers:
-            self._covers[cid] = _cover(*_entry(self.file.covers, "cover", cid), self.surface)
-        return self._covers[cid]
-
-    def validation(self, cid: str) -> list[Check]:
-        """The cover-data checks of one cover, run once."""
-        if cid not in self._validation:
-            self._validation[cid] = validate_cover_data(self.cover(cid))
-        return self._validation[cid]
-
-    def cover_valid(self, cid: str) -> bool:
-        return all(c.status == "pass" for c in self.validation(cid))
-
-
-def _run(jobs, seed: int) -> VerificationReport:
-    """One report over (file, suite) jobs, each file on its own Workbench."""
+def _run(seed: int, jobs) -> VerificationReport:
+    """One report over (file, suite) jobs, every file parsed at `seed`."""
     report = VerificationReport(seed=seed)
     for wf, suite in jobs:
-        wb = Workbench(wf, seed=seed)
         for entry in wf.checks:
             if suite == "all" or entry.suite == suite:
-                report.extend(run_check(wb, entry))
+                report.extend(run_check(entry))
     return report
 
 
-def run_suite(wf: WorkbenchFile, suite: str = "all", seed: int = 0) -> VerificationReport:
-    """Execute the file's checks for one suite; deterministic given (file, seed)."""
+def run_suite(wf: WorkbenchFile, suite: str = "all") -> VerificationReport:
+    """Execute the file's checks for one suite, at the seed it was parsed at;
+    deterministic given (file, seed)."""
     if suite not in SUITES:
         raise SpecError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    return _run([(wf, suite)], seed)
+    return _run(wf.seed, [(wf, suite)])
 
 
 def bundled_fixture_names() -> list[str]:
     return ["inoue_bidouble.json", "inoue_z2z4.json", "named.json"]
 
 
-def load_bundled(name: str) -> WorkbenchFile:
+def load_bundled(name: str, seed: int = 0) -> WorkbenchFile:
     text = resources.files("scw.fixtures").joinpath(name).read_text()
-    return parse_data(json.loads(text), where=name)
+    return parse_data(json.loads(text), where=name, seed=seed)
 
 
 def paper_suite(seed: int = 0) -> VerificationReport:
     """Every check of every bundled file, one report line per claim with its
     citation tag."""
-    return _run([(load_bundled(name), "all") for name in bundled_fixture_names()], seed)
+    return _run(seed, [(load_bundled(name, seed), "all") for name in bundled_fixture_names()])
 
 
 def _key(check_name: str) -> str:
@@ -243,8 +206,8 @@ def named_keys() -> list[str]:
 
 def run_named(key: str, seed: int = 0) -> VerificationReport:
     """The checks of `named.json` whose name is `key` or starts with `key/`."""
-    wf = load_bundled("named.json")
+    wf = load_bundled("named.json", seed)
     checks = tuple(entry for entry in wf.checks if _key(entry.name) == key)
     if not checks:
         raise SpecError(f"unknown check tag {key!r}; known: {', '.join(named_keys())}")
-    return _run([(replace(wf, checks=checks), "all")], seed)
+    return _run(seed, [(replace(wf, checks=checks), "all")])

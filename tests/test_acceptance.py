@@ -18,8 +18,8 @@ from scw.cover import (ContractionPlan, building_data_relations, canonical_cover
                        preimage_consistency, pullback, quotient_cover, validate_cover_data)
 from scw.groups import FiniteAbelianGroup, pairwise_common_involution, subgroups_of_order
 from scw.lattice import abstract_lattice, blowup_lattice, gram_det, solve_divide, solve_linear
-from scw.lefschetz import (CASE_TABLE, diophantine_enumerate, involution_range_filter,
-                           order3_counts, theorem11_consistency)
+from scw.lefschetz import (diophantine_enumerate, involution_range_filter, order3_counts,
+                           theorem11_consistency)
 from scw.oracle import FreePoint, h0_from_realization, realize_configuration
 from scw.surface import Pencil, isolated_minus_one_curves, minus_two_curves, singular_members
 
@@ -200,10 +200,11 @@ def test_c12_subgroup_combinatorics(announce):
     announce(12, "subgroup combinatorics")
 
 
-def test_c13_case_table_consistency(announce):
-    for case in ("a", "b", "c"):
-        assert all(c.status == "pass" for c in theorem11_consistency(case))
-    for case, (kr, rr) in CASE_TABLE.items():
+def test_c13_case_table_consistency(case_table, announce):
+    assert sorted(case_table) == ["a", "b", "c"]
+    for case, (kr, rr) in case_table.items():
+        assert all(c.status == "pass" for c in theorem11_consistency(case, kr, rr))
+    for case, (kr, rr) in case_table.items():
         for which in ("kr", "rr"):
             base = kr if which == "kr" else rr
             for i, delta in itertools.product(range(3), (-2, -1, 1, 2)):

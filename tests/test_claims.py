@@ -20,9 +20,9 @@ from fractions import Fraction
 
 import pytest
 
-from scw.checks import FIELDS, run_check
+from scw.checks import FIELDS, Entry, bind_checks, run_check
 from scw.report import FAIL, UNSUPPORTED
-from scw.workbench import SpecError, Workbench, bundled_fixture_names, parse_data
+from scw.workbench import SpecError, WorkbenchFile, bundled_fixture_names, parse_data
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "src" / "scw" / "fixtures"
 # optional keys of an expected map: like an optional field, absent is no claim
@@ -35,8 +35,15 @@ def _file(name: str) -> dict:
 
 
 @functools.cache
-def _workbench(name: str) -> Workbench:
-    return Workbench(parse_data(_file(name), where=name))
+def _parsed(name: str) -> WorkbenchFile:
+    return parse_data(_file(name), where=name)
+
+
+def _bind(name: str, entry: dict) -> Entry:
+    """One check entry of the file `name`, read against the file's surfaces
+    and covers, built once for the whole sweep so that their caches stay warm."""
+    wf = _parsed(name)
+    return bind_checks([(f"{name}.checks[0]", entry)], wf.surfaces, wf.covers)[0]
 
 
 ENTRIES = [(name, i) for name in bundled_fixture_names()
@@ -75,8 +82,7 @@ def verdict(name: str, entry: dict) -> str:
     """"exit 2" when the entry is an input error, "FAIL" when one of its
     report lines fails, else the statuses of its report lines."""
     try:
-        wf = parse_data({**_file(name), "checks": [entry]}, where=name)
-        statuses = {c.status for c in run_check(_workbench(name), wf.checks[0])}
+        statuses = {c.status for c in run_check(_bind(name, entry))}
     except SpecError:
         return "exit 2"
     return "FAIL" if FAIL in statuses else ",".join(sorted(statuses))
@@ -146,10 +152,10 @@ def test_no_field_value_is_refused_by_a_builtin_exception(name, index):
             continue
         for changed in field_mutations(value):
             try:
-                wf = parse_data({**_file(name), "checks": [{**entry, key: changed}]}, where=name)
+                bound = _bind(name, {**entry, key: changed})
             except SpecError:
                 continue
-            for check in run_check(_workbench(name), wf.checks[0]):
+            for check in run_check(bound):
                 cause = check.computed.partition(":")[0]
                 if check.status == UNSUPPORTED and isinstance(getattr(builtins, cause, None), type):
                     faults.append((key, changed, check.computed))

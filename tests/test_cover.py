@@ -460,14 +460,13 @@ def _noether_mutants(spec):
 def test_noether_failure_fails_invariants_and_minimal_model_alike(fixture):
     # a raising cached property caches nothing, so minimal_model, reading
     # the spec's invariants after the invariants check, fails the same way
-    wf = workbench.load_bundled(f"{fixture}.json")
-    entries = [e for e in wf.checks if e.kind in ("invariants", "minimal_model")]
-    assert [e.kind for e in entries] == ["invariants", "minimal_model"]
-    for derived in _noether_mutants(workbench.Workbench(wf, seed=0).cover(fixture)):
-        wb = workbench.Workbench(wf, seed=0)
-        spec = wb.cover(fixture)
+    for derived in _noether_mutants(workbench.load_bundled(f"{fixture}.json").covers[fixture]):
+        wf = workbench.load_bundled(f"{fixture}.json", seed=0)
+        entries = [e for e in wf.checks if e.kind in ("invariants", "minimal_model")]
+        assert [e.kind for e in entries] == ["invariants", "minimal_model"]
+        spec = wf.covers[fixture]
         spec.__dict__.update(derived)
-        lines = [line for entry in entries for line in checks_mod.run_check(wb, entry)]
+        lines = [line for entry in entries for line in checks_mod.run_check(entry)]
         assert [line.status for line in lines] == ["fail", "fail"]
         assert lines[0].computed == lines[1].computed
         assert lines[0].computed.startswith("AccountingError: Noether's formula fails")

@@ -30,6 +30,9 @@ GOLDEN = {
     ("verify", "inoue_z2z4.json"): (
         ("2a5a96b2e1585fd65be6a62553ad65ae2c75d7865a3794b0135fad31290273f3", 8302),
         ("e211892ce853a88254914871c8f553b23e6dbe392bc4c7c15a2256e0715f9fe4", 13534)),
+    ("verify", "inoue_z2z4.json", "--seed", "5"): (
+        ("0a873f705d77065db7575b9ab4933b2f32fafbac2c86a59f3ca4ba76ad756871", 8302),
+        ("61a94f794e37f8f26d97dda2bcb00a63a0ab3cf9b5ec05a251afb19f111727c3", 13534)),
     ("lefschetz", "corollary-1.3", "--seed", "0"): (
         ("7764f85c9a014c96bba1ce4a9a8bf878ed35321b91875c8f5b6bf0e311476bd7", 294),
         ("aa7337494b757346e1997995753f8d23bf54d4ad603182ca9ff1c495e659edea", 586)),
@@ -80,7 +83,7 @@ def _digest(data: bytes):
 def test_report_bytes(argv, tmp_path, capsysbinary):
     command, *rest = argv
     if command == "verify":
-        rest = [str(FIXTURES / rest[0])]
+        rest = [str(FIXTURES / rest[0]), *rest[1:]]
     report = tmp_path / "report.json"
     assert cli.main([command, *rest, "--report", str(report)]) == cli.EXIT_OK
     text, json_report = GOLDEN[argv]
@@ -96,8 +99,23 @@ H0_GOLDEN = (
     ("7676cc5abd2c3bfd324cc610f5ae69d5a9560f697979616289e29f5849c40914", 2914))
 
 
-def test_h0_audit_bytes(tmp_path, capsysbinary):
+# the same at --seed 5, whose realizations are drawn from other seeds
+H0_SEED_5_GOLDEN = (
+    ("53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3", 2),
+    ("e37f50e830dff8c1ce03f8ad96261aed456381a8595b0eddbeb0915e89669370", 2929))
+
+
+def _h0_audit(tmp_path, capsysbinary, *options):
     audit = tmp_path / "audit.json"
-    argv = ["h0", str(FIXTURES / "inoue_z2z4.json"), "Y", H0_CLASS, "--audit", str(audit)]
+    argv = ["h0", str(FIXTURES / "inoue_z2z4.json"), "Y", H0_CLASS, *options,
+            "--audit", str(audit)]
     assert cli.main(argv) == cli.EXIT_OK
-    assert (_digest(capsysbinary.readouterr().out), _digest(audit.read_bytes())) == H0_GOLDEN
+    return _digest(capsysbinary.readouterr().out), _digest(audit.read_bytes())
+
+
+def test_h0_audit_bytes(tmp_path, capsysbinary):
+    assert _h0_audit(tmp_path, capsysbinary) == H0_GOLDEN
+
+
+def test_h0_audit_bytes_at_seed_5(tmp_path, capsysbinary):
+    assert _h0_audit(tmp_path, capsysbinary, "--seed", "5") == H0_SEED_5_GOLDEN

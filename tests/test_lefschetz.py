@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from scw.lattice import gram_det
-from scw.lefschetz import (CASE_TABLE, NAMED_CONSTRAINTS, case_gram, diophantine_enumerate,
+from scw.lefschetz import (NAMED_CONSTRAINTS, case_gram, diophantine_enumerate,
                            involution_counts, involution_from_counts, involution_profile,
                            involution_range_filter, order3_counts, order3_profile,
                            theorem11_consistency)
@@ -92,21 +92,21 @@ def test_det_closed_form_over_box():
             assert gram_det([[7, a, 0], [a, 1, b], [0, b, -2]]) == -14 + 2 * a * a - 7 * b * b
 
 
-def test_theorem11_cases_pass():
-    for case in ("a", "b", "c"):
-        checks = theorem11_consistency(case)
+def test_theorem11_cases_pass(case_table):
+    assert sorted(case_table) == ["a", "b", "c"]
+    for case, (kr, rr) in case_table.items():
+        checks = theorem11_consistency(case, kr, rr)
         assert all(c.status == "pass" for c in checks), case
-        kr, rr = CASE_TABLE[case]
         assert gram_det(case_gram(7, kr, rr)) == 0
 
 
-def test_theorem11_known_mutation_fails():
-    checks = theorem11_consistency("a", kr=(7, 5, 4), rr=CASE_TABLE["a"][1])
+def test_theorem11_known_mutation_fails(case_table):
+    checks = theorem11_consistency("a", kr=(7, 5, 4), rr=case_table["a"][1])
     assert any(c.status == "fail" for c in checks)
 
 
-def test_theorem11_every_single_entry_mutation_fails():
-    for case, (kr, rr) in CASE_TABLE.items():
+def test_theorem11_every_single_entry_mutation_fails(case_table):
+    for case, (kr, rr) in case_table.items():
         for which in ("kr", "rr"):
             base = kr if which == "kr" else rr
             for i in range(3):

@@ -110,12 +110,11 @@ def test_curve_record_kind_invariants_are_enforced(surface_w):
                     **{**fields, "genus": Fraction(1)})
 
 
-def test_catalog_stable_across_seeds(z2z4_wb):
-    from scw.workbench import Workbench, load_bundled
+def test_catalog_stable_across_seeds(surface_y):
+    from scw.workbench import load_bundled
 
-    fresh = Workbench(load_bundled("inoue_z2z4.json"), seed=333)
-    y0 = z2z4_wb.surface("Y")
-    y1 = fresh.surface("Y")
+    y0 = surface_y
+    y1 = load_bundled("inoue_z2z4.json", seed=333).surfaces["Y"]
     assert classes(y0, y0.catalog()) == classes(y1, y1.catalog())
     assert {p.cls.coeffs for p in find_pencils(y0)} == {p.cls.coeffs for p in find_pencils(y1)}
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import re
@@ -21,15 +22,26 @@ def test_parse_bundled_fixtures():
         assert wf.checks
 
 
+def _step_json(step) -> list:
+    """A construction step as the file writes it."""
+    kind = next(k for k, (ctor, _arity) in workbench._STEP_KINDS.items() if type(step) is ctor)
+    return [kind, *dataclasses.astuple(step)]
+
+
 def test_round_trip():
     for name in workbench.bundled_fixture_names():
-        wf = load_bundled(name)
+        wf = load_bundled(name, seed=7)
         data = json.loads((FIXTURES / name).read_text())
-        assert [list(wf.surfaces), list(wf.covers)] == [data.get("surfaces", []),
-                                                        data.get("covers", [])]
+        assert [(sid, s.name, [_step_json(step) for step in s.script],
+                 [list(b) for b in s.blowups], s.seed_policy.base)
+                for sid, s in wf.surfaces.items()] == [
+            (s["id"], s["id"], s["script"], s["blowups"], 7) for s in data.get("surfaces", [])]
+        assert [(cid, c.name, c.base is wf.surfaces[c.base.name])
+                for cid, c in wf.covers.items()] == [
+            (c["id"], c["id"], True) for c in data.get("covers", [])]
         assert [(e.name, e.kind, e.suite, e.tag) for e in wf.checks] == [
             (c["name"], c["kind"], c.get("suite", "all"), c.get("tag")) for c in data["checks"]]
-        assert parse_data(data, where=name) == wf
+        assert wf.seed == 7
 
 
 def test_parse_errors(tmp_path):
@@ -176,6 +188,21 @@ def test_fault_is_refused_and_refutation_fails():
     assert not report.all_passed
 
 
+def test_paper_suite_builds_each_surface_once(monkeypatch):
+    from scw.surface import BlowupSurface
+
+    built = []
+    original = BlowupSurface.__init__
+
+    def counted(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self.name)
+
+    monkeypatch.setattr(BlowupSurface, "__init__", counted)
+    assert paper_suite(seed=0).all_passed
+    assert sorted(built) == ["W", "Y"]
+
+
 def test_cover_derivations_run_once_per_spec(monkeypatch):
     from collections import Counter
 
@@ -230,9 +257,9 @@ def test_dangling_check_references_rejected():
 
 def test_run_suite_filters_and_passes():
     wf = load_bundled("inoue_bidouble.json")
-    lattice_only = run_suite(wf, suite="lattice", seed=0)
+    lattice_only = run_suite(wf, suite="lattice")
     assert lattice_only.all_passed
-    everything = run_suite(wf, suite="all", seed=0)
+    everything = run_suite(wf, suite="all")
     assert everything.all_passed
     assert len(everything.checks) > len(lattice_only.checks)
     with pytest.raises(SpecError):
@@ -266,7 +293,7 @@ def test_mutated_class_fails_exactly_the_relation_checks():
         if entry["character"] == [1, 0]:
             entry["class"]["Q3p"] = entry["class"]["Q3p"] + 1
     wf = parse_data(raw, where="mutated")
-    report = run_suite(wf, suite="cover", seed=0)
+    report = run_suite(wf, suite="cover")
     failed = sorted(c.name for c in report.checks if c.status == "fail")
     assert failed == [
         "inoue_z2z4/relation-c10",
@@ -286,9 +313,10 @@ def test_untagged_checks_keep_their_inner_tags():
     keep = {"z2z4/relations", "z2z4/h0-vanishing", "Y/catalog-counts"}
     raw["checks"] = [{k: v for k, v in c.items() if k != "tag"}
                      for c in raw["checks"] if c["name"] in keep]
-    raw["checks"].append({"name": "t11", "kind": "theorem11", "case": "a"})
+    raw["checks"].append({"name": "t11", "kind": "theorem11", "case": "a",
+                          "expected_kr": [7, 5, 5], "expected_rr": [5, 9, 7]})
     tags = {}
-    for c in run_suite(parse_data(raw), seed=0).checks:
+    for c in run_suite(parse_data(raw)).checks:
         tags.setdefault(c.name.split("/")[1].split("-")[0], set()).add(c.tag)
     assert tags == {
         "catalog": {""},  # a plain check
@@ -464,9 +492,9 @@ def _rename(old, new):
         "checks[0].constraint: expected one of ample-obstruction-det, commuting-cubic, ",
         id="data16-check x: constraint: expected one of ample-obstruction-det, commuting-cubic, "),
     pytest.param(
-        _one_check_file(kind="theorem11", case="d"),
-        "checks[0].case: expected one of a, b, c, got 'd'",
-        id="data17-check x: case: expected one of a, b, c, got 'd'"),
+        _one_check_file(kind="theorem11", case="a", expected_kr=[7, 5], expected_rr=[5, 9, 7]),
+        "checks[0].expected_kr: expected 3 integers, got [7, 5]",
+        id="data17-check x: expected_kr: expected 3 integers, got [7, 5]"),
     # a list value read by a reader that names the field
     pytest.param(
         _one_check_file(kind="diophantine", constraint="commuting-cubic",
@@ -805,6 +833,15 @@ def test_cli_h0():
     proc = run_cli("h0", str(FIXTURES / "inoue_z2z4.json"), "Y", '{"L": 2.0}')
     assert proc.returncode == 2
     assert "class argument.L" in proc.stderr
+
+
+def test_cli_h0_unknown_surface(capsys):
+    from scw.cli import main
+
+    assert main(["h0", str(FIXTURES / "inoue_z2z4.json"), "NOPE", "{}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: unknown surface 'NOPE'\n"
 
 
 def test_cli_lefschetz_and_seed_env():
